@@ -155,13 +155,14 @@ class TestAnalyticVsTraceCost:
 
     def test_bench_trace_simulation(self, benchmark):
         from repro.memory import for_broadwell
-        from repro.trace import repeated_sweep, to_line_trace
+        from repro.trace import expand_lines, repeated_sweep_array
 
         machine = broadwell()
 
         def simulate():
             h = for_broadwell(machine, scale=0.001)
-            return h.run(to_line_trace(repeated_sweep(0, 5000, 3)))
+            addrs, writes = repeated_sweep_array(0, 5000, 3)
+            return h.run_batched([expand_lines(addrs, 8, writes)])
 
         stats = benchmark(simulate)
         assert stats.total_accesses > 0

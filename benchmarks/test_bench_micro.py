@@ -14,7 +14,7 @@ from repro.kernels import fft_3d, iso3dfd_step, tiled_cholesky, tiled_gemm
 from repro.memory import SetAssociativeCache, for_broadwell
 from repro.platforms import broadwell
 from repro.sparse import build_collection, build_levels, encode, generators, spmv_csr5
-from repro.trace import CHUNK, stack_distances
+from repro.trace import chunk_arrays, stack_distances
 
 
 def test_bench_cache_simulator(benchmark):
@@ -41,7 +41,7 @@ def test_bench_stack_distance(benchmark):
 
 
 def test_bench_stack_distance_ndarray(benchmark):
-    # Same trace as the list path above, fed as an ndarray: exercises
+    # Same trace as above, fed as an ndarray (no list conversion):
     # the vectorized previous-occurrence pass + preloaded Fenwick tree.
     rng = np.random.default_rng(0)
     trace = rng.integers(0, 4096, size=20_000)
@@ -69,8 +69,7 @@ def _replay_scalar(h, addrs, writes):
 
 
 def _replay_batched(h, addrs, writes):
-    for i in range(0, len(addrs), CHUNK):
-        h.run_array(addrs[i : i + CHUNK], writes[i : i + CHUNK])
+    h.run_batched(chunk_arrays(addrs, writes))
 
 
 def test_bench_hierarchy_scalar(benchmark):

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sbenchp.add_argument(
         "--distinct", type=int, default=24, metavar="N",
-        help="distinct advise queries in the workload (default 24)",
+        help="distinct advise queries in the workload, at most 30 (default 24)",
     )
     sbenchp.add_argument(
         "--identical", type=int, default=100, metavar="N",
@@ -620,6 +620,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import contextlib
 
     from repro import telemetry
     from repro.serve.app import ServeConfig, run_server
@@ -636,8 +637,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.trace:
         telemetry.configure(enabled=True, trace_path=args.trace)
     try:
-        asyncio.run(run_server(config))
-    except KeyboardInterrupt:
+        # run_server returns on SIGTERM/SIGINT; a SIGINT that lands
+        # before its handlers are installed still raises here.
+        with contextlib.suppress(KeyboardInterrupt):
+            asyncio.run(run_server(config))
         print("shutting down", file=sys.stderr)
     finally:
         if args.trace:
@@ -649,16 +652,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve.bench import run_bench
 
-    doc = run_bench(
-        out=Path(args.output),
-        clients=args.clients,
-        requests_per_client=args.requests,
-        distinct=args.distinct,
-        identical=args.identical,
-        seed=args.seed,
-        jobs=args.jobs,
-        slo_p99_ms=args.slo_p99_ms,
-    )
+    try:
+        doc = run_bench(
+            out=Path(args.output),
+            clients=args.clients,
+            requests_per_client=args.requests,
+            distinct=args.distinct,
+            identical=args.identical,
+            seed=args.seed,
+            jobs=args.jobs,
+            slo_p99_ms=args.slo_p99_ms,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     verdict = doc["verdict"]
     mixed = doc["mixed"]
     print(

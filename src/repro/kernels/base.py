@@ -16,7 +16,7 @@ our white-box characterization of the same access behaviour.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro import telemetry
 from repro.kernels.profile import WorkloadProfile
@@ -25,7 +25,6 @@ from repro.telemetry import names as tm
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.memory.hierarchy import Hierarchy
     from repro.memory.stats import HierarchyStats
-    from repro.trace.events import Access
 
 
 class Kernel(abc.ABC):
@@ -55,24 +54,7 @@ class Kernel(abc.ABC):
         self.run()
         return True
 
-    # -- instrumented faces -------------------------------------------------
-
-    def trace(self, *, reps: int = 1) -> Iterator["Access"]:
-        """Cache-line access trace, wrapped in a ``kernel.trace`` span.
-
-        Yields the same events as
-        :func:`repro.kernels.traces.kernel_trace`; the span closes when
-        the generator is exhausted and records the event count.
-        """
-        from repro.kernels.traces import kernel_trace
-
-        with telemetry.span(tm.SPAN_KERNEL_TRACE, kernel=self.name, reps=reps) as sp:
-            n = 0
-            for event in kernel_trace(self, reps=reps):
-                n += 1
-                yield event
-            sp.set_attr("events", n)
-            telemetry.counter(tm.kernel_trace_events(self.name)).inc(n)
+    # -- instrumented face ---------------------------------------------------
 
     def simulate(
         self, hierarchy: "Hierarchy", *, reps: int = 1
@@ -80,27 +62,12 @@ class Kernel(abc.ABC):
         """Drive the exact simulator with this kernel's trace.
 
         Opens a ``kernel.simulate`` span enclosing both trace generation
-        and the hierarchy walk, and returns the per-level statistics.
-        """
-        from repro.trace.events import to_line_trace
-
-        with telemetry.span(tm.SPAN_KERNEL_SIMULATE, kernel=self.name, reps=reps):
-            return hierarchy.run(
-                to_line_trace(self.trace(reps=reps), hierarchy.line)
-            )
-
-    def simulate_batched(
-        self, hierarchy: "Hierarchy", *, reps: int = 1
-    ) -> "HierarchyStats":
-        """Drive the simulator through the batched (ndarray) fast path.
-
-        Produces statistics identical to :meth:`simulate` — the chunked
-        trace replays the scalar stream exactly — at a several-fold
-        higher reference throughput.
+        (:func:`repro.kernels.traces.kernel_trace_chunks`) and the
+        hierarchy replay, and returns the per-level statistics.
         """
         from repro.kernels.traces import kernel_trace_chunks
 
-        with telemetry.span(tm.SPAN_KERNEL_SIMULATE_BATCHED, kernel=self.name, reps=reps):
+        with telemetry.span(tm.SPAN_KERNEL_SIMULATE, kernel=self.name, reps=reps):
             return hierarchy.run_batched(
                 kernel_trace_chunks(self, reps=reps, line=hierarchy.line)
             )

@@ -2,22 +2,20 @@
 
 DESIGN.md Section 2 promises that kernels "can emit cache-line traces for
 small problems to drive the trace simulator". This module walks the same
-loop nests as the functional implementations and yields
-:class:`~repro.trace.events.Access` events — the ground-truth input for
+loop nests as the functional implementations — the ground-truth input for
 validating each kernel's analytic :class:`ReuseCurve` against the exact
 simulator (``tests/test_kernel_traces.py``).
 
-Traces are meant for *small* configurations (the generators guard against
+Traces are meant for *small* configurations (the tracers guard against
 accidentally emitting billions of events). Array placement mirrors the
 profile's ``arrays`` dict: consecutive page-aligned regions.
 
-:func:`kernel_trace_chunks` is the batched face of the same streams: all
-eight paper kernels construct their per-repetition reference order
+All eight paper kernels construct their per-repetition reference order
 directly as numpy arrays (the level-scheduled solvers build theirs from
-the schedule's stable row order); unknown kernel types fall back to the
-scalar tracer behind :func:`repro.trace.batch.chunk_accesses`. Either way
-the emitted line-address chunks replay the scalar trace exactly, event
-for event (``tests/test_trace_batch.py`` pins this differentially).
+the schedule's stable row order), and :func:`kernel_trace_chunks` hands
+them to the simulator as ``(line_addrs, writes)`` chunks. The loop-nest
+twins in ``tests/oracle.py`` pin this order event for event
+(``tests/test_trace_batch.py``).
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ from repro.kernels.stream import StreamKernel
 from repro.platforms.spec import LINE_BYTES
 from repro.sparse.levels import build_levels
 from repro.telemetry import names as tm
-from repro.trace.batch import CHUNK, chunk_accesses, chunk_arrays, expand_lines
-from repro.trace.events import Access
+from repro.trace.batch import CHUNK, chunk_arrays, expand_lines
 
 PAGE = 4096
 WORD = 8
@@ -67,265 +64,15 @@ def _guard(n_events: int, label: str) -> None:
         )
 
 
-def trace_stream(kernel: StreamKernel, *, reps: int = 1) -> Iterator[Access]:
-    """TRIAD: read b[i], read c[i], write a[i]."""
-    n = kernel.n
-    _guard(3 * n * reps, "stream")
-    base = _layout({"a": n * WORD, "b": n * WORD, "c": n * WORD})
-    for _ in range(reps):
-        for i in range(n):
-            yield Access(base["b"] + i * WORD)
-            yield Access(base["c"] + i * WORD)
-            yield Access(base["a"] + i * WORD, write=True)
-
-
-def trace_gemm(kernel: GemmKernel, *, reps: int = 1) -> Iterator[Access]:
-    """Tiled GEMM loop nest (k-loop innermost over a resident C tile).
-
-    Emits the blocked reference stream at word granularity: for each
-    (i, j) C tile and k panel, the A and B tile elements in the order the
-    micro-kernel consumes them.
-    """
-    n, b = kernel.order, min(kernel.tile, kernel.order)
-    _guard(2 * n**3 * reps, "gemm")
-    fp = n * n * WORD
-    base = _layout({"A": fp, "B": fp, "C": fp})
-
-    def addr(array: str, i: int, j: int) -> int:
-        return base[array] + (i * n + j) * WORD
-
-    for _ in range(reps):
-        for i0 in range(0, n, b):
-            for j0 in range(0, n, b):
-                for p0 in range(0, n, b):
-                    for i in range(i0, min(i0 + b, n)):
-                        for j in range(j0, min(j0 + b, n)):
-                            for p in range(p0, min(p0 + b, n)):
-                                yield Access(addr("A", i, p))
-                                yield Access(addr("B", p, j))
-                            yield Access(addr("C", i, j), write=True)
-
-
-def trace_cholesky(kernel: CholeskyKernel, *, reps: int = 1) -> Iterator[Access]:
-    """Right-looking tiled Cholesky reference stream (update-dominated)."""
-    n, b = kernel.order, min(kernel.tile, kernel.order)
-    _guard(n**3 * reps, "cholesky")
-    base = _layout({"A": n * n * WORD})
-
-    def addr(i: int, j: int) -> int:
-        return base["A"] + (i * n + j) * WORD
-
-    for _ in range(reps):
-        for k0 in range(0, n, b):
-            k1 = min(k0 + b, n)
-            # POTRF on the diagonal tile.
-            for i in range(k0, k1):
-                for j in range(k0, i + 1):
-                    yield Access(addr(i, j), write=True)
-            # TRSM panel + SYRK/GEMM trailing update.
-            for i0 in range(k1, n, b):
-                i1 = min(i0 + b, n)
-                for i in range(i0, i1):
-                    for p in range(k0, k1):
-                        yield Access(addr(i, p), write=True)
-                for j0 in range(k1, i1, b):
-                    j1 = min(j0 + b, i1)
-                    for i in range(i0, i1):
-                        for j in range(j0, j1):
-                            for p in range(k0, k1):
-                                yield Access(addr(i, p))
-                                yield Access(addr(j, p))
-                            yield Access(addr(i, j), write=True)
-
-
-def trace_spmv(kernel: SpmvKernel, *, reps: int = 1) -> Iterator[Access]:
-    """CSR SpMV: stream row pointers, values, column ids; gather x."""
-    matrix = kernel.matrix if kernel.matrix is not None else kernel.descriptor.materialize()
-    _guard(4 * matrix.nnz * reps, "spmv")
-    base = _layout(
-        {
-            "vals": matrix.nnz * WORD,
-            "cols": matrix.nnz * 4,
-            "indptr": (matrix.n_rows + 1) * 4,
-            "x": matrix.n_cols * WORD,
-            "y": matrix.n_rows * WORD,
-        }
-    )
-    for _ in range(reps):
-        for i in range(matrix.n_rows):
-            yield Access(base["indptr"] + i * 4, size=4)
-            lo, hi = int(matrix.indptr[i]), int(matrix.indptr[i + 1])
-            for k in range(lo, hi):
-                yield Access(base["cols"] + k * 4, size=4)
-                yield Access(base["vals"] + k * WORD)
-                yield Access(base["x"] + int(matrix.indices[k]) * WORD)
-            yield Access(base["y"] + i * WORD, write=True)
-
-
-def trace_sptrsv(kernel: SptrsvKernel, *, reps: int = 1) -> Iterator[Access]:
-    """Level-scheduled forward solve: same streams as SpMV, level order."""
-    matrix = kernel.matrix if kernel.matrix is not None else kernel.descriptor.materialize()
-    lower = matrix.lower_triangle()
-    schedule = build_levels(lower)
-    _guard(4 * lower.nnz * reps, "sptrsv")
-    base = _layout(
-        {
-            "vals": lower.nnz * WORD,
-            "cols": lower.nnz * 4,
-            "indptr": (lower.n_rows + 1) * 4,
-            "x": lower.n_rows * WORD,
-            "b": lower.n_rows * WORD,
-        }
-    )
-    for _ in range(reps):
-        for lvl in range(schedule.n_levels):
-            for i in schedule.rows_in_level(lvl):
-                i = int(i)
-                yield Access(base["indptr"] + i * 4, size=4)
-                lo, hi = int(lower.indptr[i]), int(lower.indptr[i + 1])
-                for k in range(lo, hi):
-                    yield Access(base["cols"] + k * 4, size=4)
-                    yield Access(base["vals"] + k * WORD)
-                    j = int(lower.indices[k])
-                    if j < i:  # strictly-lower dependency gathers x[j]
-                        yield Access(base["x"] + j * WORD)
-                yield Access(base["b"] + i * WORD)
-                yield Access(base["x"] + i * WORD, write=True)
-
-
-def trace_stencil(kernel: StencilKernel, *, reps: int = 1) -> Iterator[Access]:
-    """iso3dfd sweeps: star-neighbor reads, vel read, write.
-
-    Neighbor reads are emitted at the granularity the analytic profile
-    models (one touch per plane offset along each axis).
-    """
-    nx, ny, nz = kernel.nx, kernel.ny, kernel.nz
-    cells = nx * ny * nz
-    _guard((6 * RADIUS + 4) * cells * kernel.steps * reps, "stencil")
-    grid_bytes = cells * WORD
-    base = _layout({"prev": grid_bytes, "curr": grid_bytes, "vel": grid_bytes})
-
-    def addr(array: str, i: int, j: int, k: int) -> int:
-        return base[array] + ((i * ny + j) * nz + k) * WORD
-
-    r = RADIUS
-    for _ in range(reps * kernel.steps):
-        for i in range(r, nx - r):
-            for j in range(r, ny - r):
-                for k in range(r, nz - r):
-                    yield Access(addr("curr", i, j, k))
-                    for t in range(1, r + 1):
-                        yield Access(addr("curr", i + t, j, k))
-                        yield Access(addr("curr", i - t, j, k))
-                        yield Access(addr("curr", i, j + t, k))
-                        yield Access(addr("curr", i, j - t, k))
-                        yield Access(addr("curr", i, j, k + t))
-                        yield Access(addr("curr", i, j, k - t))
-                    yield Access(addr("prev", i, j, k))
-                    yield Access(addr("vel", i, j, k))
-                    yield Access(addr("curr", i, j, k), write=True)
-
-
-def trace_sptrans(kernel: SptransKernel, *, reps: int = 1) -> Iterator[Access]:
-    """ScanTrans passes: histogram, scan, scatter (column-ordered writes)."""
-    matrix = kernel.matrix if kernel.matrix is not None else kernel.descriptor.materialize()
-    _guard(6 * matrix.nnz * reps, "sptrans")
-    n_rows, n_cols, nnz = matrix.n_rows, matrix.n_cols, matrix.nnz
-    base = _layout(
-        {
-            "in_vals": nnz * WORD,
-            "in_cols": nnz * 4,
-            "counts": n_cols * 4,
-            "out_vals": nnz * WORD,
-            "out_rows": nnz * 4,
-            "out_ptr": (n_cols + 1) * 4,
-        }
-    )
-    order = np.argsort(matrix.indices, kind="stable")
-    slot_of = np.empty(nnz, dtype=np.int64)
-    slot_of[order] = np.arange(nnz)
-    for _ in range(reps):
-        # Pass 1: histogram of column ids.
-        for k in range(nnz):
-            yield Access(base["in_cols"] + k * 4, size=4)
-            yield Access(
-                base["counts"] + int(matrix.indices[k]) * 4, size=4, write=True
-            )
-        # Pass 2: prefix scan of the counters.
-        for j in range(n_cols):
-            yield Access(base["counts"] + j * 4, size=4)
-            yield Access(base["out_ptr"] + j * 4, size=4, write=True)
-        # Pass 3: scatter values/rows to their column-ordered slots.
-        for k in range(nnz):
-            yield Access(base["in_cols"] + k * 4, size=4)
-            yield Access(base["in_vals"] + k * WORD)
-            slot = int(slot_of[k])
-            yield Access(base["out_vals"] + slot * WORD, write=True)
-            yield Access(base["out_rows"] + slot * 4, size=4, write=True)
-
-
-def trace_fft(kernel: FftKernel, *, reps: int = 1) -> Iterator[Access]:
-    """3-D FFT passes: log2(n) butterfly sweeps per axis over the cube.
-
-    Emits the pencil-walk pattern at word-pair (complex) granularity: for
-    each axis, each pencil is swept ``ceil(log2 n)`` times (the butterfly
-    stages), with pencil elements contiguous along the Z axis only —
-    reproducing the strided access of the Y/X passes.
-    """
-    import math
-
-    n = kernel.size
-    n_points = n**3
-    stages = max(1, math.ceil(math.log2(n)))
-    _guard(3 * 2 * n_points * stages * reps, "fft")
-    cbytes = 16
-    base = _layout({"cube": n_points * cbytes})
-
-    def addr(i: int, j: int, k: int) -> int:
-        return base["cube"] + ((i * n + j) * n + k) * cbytes
-
-    for _ in range(reps):
-        for axis in (1, 0, 2):  # Y, X, Z as the paper orders the passes
-            for _stage in range(stages):
-                for a in range(n):
-                    for b in range(n):
-                        for c in range(n):
-                            if axis == 0:
-                                i, j, k = c, a, b
-                            elif axis == 1:
-                                i, j, k = a, c, b
-                            else:
-                                i, j, k = a, b, c
-                            yield Access(addr(i, j, k), size=cbytes)
-                            yield Access(addr(i, j, k), size=cbytes, write=True)
-
-
-def kernel_trace(kernel: Kernel, *, reps: int = 1) -> Iterator[Access]:
-    """Dispatch to the tracer for ``kernel``'s type."""
-    dispatch = {
-        StreamKernel: trace_stream,
-        GemmKernel: trace_gemm,
-        CholeskyKernel: trace_cholesky,
-        SpmvKernel: trace_spmv,
-        SptransKernel: trace_sptrans,
-        SptrsvKernel: trace_sptrsv,
-        StencilKernel: trace_stencil,
-        FftKernel: trace_fft,
-    }
-    for cls, fn in dispatch.items():
-        if isinstance(kernel, cls):
-            return fn(kernel, reps=reps)  # type: ignore[arg-type]
-    raise TypeError(f"no tracer for {type(kernel).__name__}")
-
-
-# -- batched (ndarray) tracers ----------------------------------------------
+# -- tracers ------------------------------------------------------------------
 #
-# Each builder returns one repetition's byte-granular reference stream as
-# (addrs, sizes, writes) arrays in the exact order of its scalar tracer;
-# ``sizes`` may be a scalar when every access is the same width.
+# Each tracer returns one repetition's byte-granular reference stream as
+# (addrs, sizes, writes) arrays in loop-nest order; ``sizes`` may be a
+# scalar when every access is the same width.
 
 
 def _array_stream(kernel: StreamKernel, reps: int):
+    """TRIAD: read b[i], read c[i], write a[i]."""
     n = kernel.n
     _guard(3 * n * reps, "stream")
     base = _layout({"a": n * WORD, "b": n * WORD, "c": n * WORD})
@@ -340,6 +87,7 @@ def _array_stream(kernel: StreamKernel, reps: int):
 
 
 def _array_gemm(kernel: GemmKernel, reps: int):
+    """Tiled GEMM: per (i, j) C tile and k panel, A/B pairs then the C write."""
     n, b = kernel.order, min(kernel.tile, kernel.order)
     _guard(2 * n**3 * reps, "gemm")
     fp = n * n * WORD
@@ -367,6 +115,7 @@ def _array_gemm(kernel: GemmKernel, reps: int):
 
 
 def _array_cholesky(kernel: CholeskyKernel, reps: int):
+    """Right-looking tiled Cholesky reference stream (update-dominated)."""
     n, b = kernel.order, min(kernel.tile, kernel.order)
     _guard(n**3 * reps, "cholesky")
     a0 = _layout({"A": n * n * WORD})["A"]
@@ -407,6 +156,7 @@ def _array_cholesky(kernel: CholeskyKernel, reps: int):
 
 
 def _array_sptrsv(kernel: SptrsvKernel, reps: int):
+    """Level-scheduled forward solve: same streams as SpMV, level order."""
     matrix = kernel.matrix if kernel.matrix is not None else kernel.descriptor.materialize()
     lower = matrix.lower_triangle()
     schedule = build_levels(lower)
@@ -470,6 +220,7 @@ def _array_sptrsv(kernel: SptrsvKernel, reps: int):
 
 
 def _array_spmv(kernel: SpmvKernel, reps: int):
+    """CSR SpMV: stream row pointers, values, column ids; gather x."""
     matrix = kernel.matrix if kernel.matrix is not None else kernel.descriptor.materialize()
     _guard(4 * matrix.nnz * reps, "spmv")
     n_rows, nnz = matrix.n_rows, matrix.nnz
@@ -511,6 +262,7 @@ def _array_spmv(kernel: SpmvKernel, reps: int):
 
 
 def _array_sptrans(kernel: SptransKernel, reps: int):
+    """ScanTrans passes: histogram, scan, scatter (column-ordered writes)."""
     matrix = kernel.matrix if kernel.matrix is not None else kernel.descriptor.materialize()
     _guard(6 * matrix.nnz * reps, "sptrans")
     n_cols, nnz = matrix.n_cols, matrix.nnz
@@ -564,6 +316,7 @@ def _array_sptrans(kernel: SptransKernel, reps: int):
 
 
 def _array_stencil(kernel: StencilKernel, reps: int):
+    """iso3dfd sweeps: star-neighbor reads, prev and vel reads, write."""
     nx, ny, nz = kernel.nx, kernel.ny, kernel.nz
     cells_n = nx * ny * nz
     _guard((6 * RADIUS + 4) * cells_n * kernel.steps * reps, "stencil")
@@ -594,6 +347,7 @@ def _array_stencil(kernel: StencilKernel, reps: int):
 
 
 def _array_fft(kernel: FftKernel, reps: int):
+    """3-D FFT: ``ceil(log2 n)`` read/write sweeps per axis (Y, X, Z) of pencils."""
     import math
 
     n = kernel.size
@@ -604,7 +358,7 @@ def _array_fft(kernel: FftKernel, reps: int):
     a = np.arange(n, dtype=np.int64)
     seg_a, seg_w = [], []
     # (a, b, c) loop coefficients realizing the Y, X, Z pass index maps
-    # of trace_fft: idx = a*ca + b*cb + c*cc.
+    # of the pencil walk: idx = a*ca + b*cb + c*cc.
     for ca, cb, cc in ((n * n, 1, n), (n, 1, n * n), (n * n, n, 1)):
         idx = (
             a[:, None, None] * ca + a[None, :, None] * cb + a[None, None, :] * cc
@@ -638,30 +392,26 @@ def kernel_trace_chunks(
     line: int = LINE_BYTES,
     chunk: int = CHUNK,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Line-address chunks of ``kernel``'s trace (batched fast path).
+    """Line-address chunks of ``kernel``'s trace.
 
-    Yields ``(line_addrs, writes)`` ndarray pairs replaying exactly the
-    stream of ``to_line_trace(kernel_trace(kernel, reps), line)``. All
-    eight paper kernels expand one repetition vectorized and replay it
-    ``reps`` times; unknown kernel types adapt their scalar tracers
-    through :func:`repro.trace.batch.chunk_accesses`.
+    Yields ``(line_addrs, writes)`` ndarray pairs: one repetition is
+    built vectorized, expanded to lines once, and replayed ``reps``
+    times. Raises ``TypeError`` for a kernel type without a tracer.
     """
-    for cls, fn in _ARRAY_TRACERS.items():
-        if isinstance(kernel, cls):
-            # Same span name (and counter) as Kernel.trace: consumers
-            # key on the logical phase, not on which path generated it.
-            with telemetry.span(
-                tm.SPAN_KERNEL_TRACE, kernel=kernel.name, reps=reps, batched=True
-            ) as sp:
-                addrs, sizes, writes = fn(kernel, reps)
-                la, lw = expand_lines(addrs, sizes, writes, line)
-                n = int(la.size) * reps
-                sp.set_attr("events", n)
-                telemetry.counter(tm.kernel_trace_events(kernel.name)).inc(n)
+    build = next(
+        (fn for cls, fn in _ARRAY_TRACERS.items() if isinstance(kernel, cls)), None
+    )
+    if build is None:
+        raise TypeError(f"no tracer for {type(kernel).__name__}")
+    with telemetry.span(tm.SPAN_KERNEL_TRACE, kernel=kernel.name, reps=reps) as sp:
+        addrs, sizes, writes = build(kernel, reps)
+        la, lw = expand_lines(addrs, sizes, writes, line)
+        n = int(la.size) * reps
+        sp.set_attr("events", n)
+        telemetry.counter(tm.kernel_trace_events(kernel.name)).inc(n)
 
-            def replay() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-                for _ in range(reps):
-                    yield from chunk_arrays(la, lw, chunk)
+    def replay() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for _ in range(reps):
+            yield from chunk_arrays(la, lw, chunk)
 
-            return replay()
-    return chunk_accesses(kernel_trace(kernel, reps=reps), line, chunk)
+    return replay()

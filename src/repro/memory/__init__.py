@@ -8,7 +8,6 @@ resolution) and :class:`Hierarchy` (the composed platform shapes).
 
 from repro.memory.allocator import PAGE, Extent, Node, NumaAllocator, Region
 from repro.memory.cache import Eviction, SetAssociativeCache, direct_mapped
-from repro.memory.cacheline import count_lines, expand, line_of, lines_touched
 from repro.memory.hierarchy import (
     Hierarchy,
     for_broadwell,
@@ -36,12 +35,8 @@ __all__ = [
     "SetAssociativeCache",
     "StridePrefetcher",
     "VictimCache",
-    "count_lines",
     "direct_mapped",
-    "expand",
     "for_broadwell",
     "for_knl",
     "hierarchy_allocator",
-    "line_of",
-    "lines_touched",
 ]

@@ -101,7 +101,7 @@ class Hierarchy:
             LevelStats(name=memory_names[1], line=line) if allocator is not None else None
         )
         # Last counter totals published to the metrics registry, so that
-        # repeated run() calls on one hierarchy publish deltas, not
+        # repeated run_batched() calls on one hierarchy publish deltas, not
         # ever-growing cumulative sums.
         self._published: dict[str, dict[str, int]] = {}
         # Dirty-flow counter totals at the last reset(): the conservation
@@ -114,62 +114,14 @@ class Hierarchy:
     def access(self, line_addr: int, *, write: bool = False) -> str:
         """Reference one cache line; returns the servicing level's name.
 
-        This is the scalar *oracle* path: one reference at a time, every
-        stage probed through the generic walk. The batched
-        :meth:`run_array` path must stay byte-identical to it
-        (``tests/test_trace_batch.py`` enforces this differentially).
+        The single-reference step: every stage probed through the
+        generic walk. :meth:`run_batched` must stay byte-identical to a
+        loop of these calls (``tests/test_trace_batch.py`` holds it to
+        the replay in ``tests/oracle.py``).
         """
         if self._prefetcher is not None:
             self._prefetch_observe(line_addr)
         return self._walk(0, line_addr, write)
-
-    def run(self, trace: Iterable[tuple[int, bool]]) -> HierarchyStats:
-        """Drive a whole (line_addr, is_write) trace and return the stats."""
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line) as sp:
-            n = 0
-            for line_addr, write in trace:
-                self.access(line_addr, write=write)
-                n += 1
-            sp.set_attr("refs", n)
-        self._publish_telemetry()
-        return self.stats()
-
-    def run_lines(self, lines: Iterable[int], *, write: bool = False) -> HierarchyStats:
-        """Drive a read-only (or write-only) line-address stream."""
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line, write=write) as sp:
-            n = 0
-            for line_addr in lines:
-                self.access(line_addr, write=write)
-                n += 1
-            sp.set_attr("refs", n)
-        self._publish_telemetry()
-        return self.stats()
-
-    # -- batched fast path -------------------------------------------------
-
-    def run_array(
-        self,
-        addrs: np.ndarray,
-        writes: np.ndarray | bool | None = None,
-    ) -> HierarchyStats:
-        """Drive one ndarray chunk of line addresses (batched fast path).
-
-        ``addrs`` is a 1-D integer array of line addresses; ``writes`` is
-        a matching bool array, a scalar bool applied to every reference,
-        or ``None`` (all reads). Telemetry is hoisted to chunk
-        granularity and the inner loop binds every hot attribute to a
-        local, but the simulated behaviour — cache contents, eviction
-        order, every counter — is byte-identical to feeding the same
-        references through :meth:`access` one at a time.
-        """
-        arr, warr = _coerce_chunk(addrs, writes)
-        # Same span name as the scalar run(): consumers key on the
-        # logical operation; the attribute says which path produced it.
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line, batched=True) as sp:
-            self._run_chunk(arr, warr)
-            sp.set_attr("refs", int(arr.shape[0]))
-        self._publish_telemetry()
-        return self.stats()
 
     def run_batched(
         self,
@@ -177,11 +129,16 @@ class Hierarchy:
     ) -> HierarchyStats:
         """Drive an iterable of ``(addrs, writes)`` ndarray chunks.
 
-        The streaming companion to :meth:`run_array` — chunk generators
-        (``repro.trace.batch``, ``repro.kernels.traces.kernel_trace_chunks``)
-        plug in directly; one telemetry span covers the whole batch.
+        ``addrs`` is a 1-D integer array of line addresses; ``writes`` is
+        a matching bool array, a scalar bool applied to every reference,
+        or ``None`` (all reads). Chunk generators (``repro.trace.batch``,
+        ``repro.kernels.traces.kernel_trace_chunks``) plug in directly and
+        one telemetry span covers the whole batch. The simulated
+        behaviour — cache contents, eviction order, every counter — is
+        byte-identical to feeding the same references through
+        :meth:`access` one at a time.
         """
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line, batched=True) as sp:
+        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line) as sp:
             total = 0
             for addrs, writes in chunks:
                 arr, warr = _coerce_chunk(addrs, writes)
@@ -250,8 +207,8 @@ class Hierarchy:
             return
         if self._prefetcher is not None:
             # Prefetcher runs interleave observe() with every reference;
-            # drive them through the same observe+walk sequence as the
-            # scalar oracle (identical by construction). Telemetry stays
+            # drive them through the same observe+walk sequence as
+            # access() (identical by construction). Telemetry stays
             # hoisted to chunk granularity either way.
             observe = self._prefetch_observe
             walk = self._walk

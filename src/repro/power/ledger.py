@@ -367,7 +367,7 @@ def price_run(
     reps: int = 1,
 ) -> PricedRun:
     """Simulate ``kernel`` on ``hierarchy`` and price the run end to end."""
-    stats = kernel.simulate_batched(hierarchy, reps=reps)
+    stats = kernel.simulate(hierarchy, reps=reps)
     ledger = ledger_from_hierarchy(hierarchy, machine, kernel=kernel.name)
     flops = float(kernel.flops()) * reps
     seconds = _modelled_seconds(stats, machine, flops)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import signal
 import time
 from pathlib import Path
 from typing import Any
@@ -374,16 +375,25 @@ async def request_safe(handler, *args) -> tuple[int, Any]:
 
 
 async def run_server(config: ServeConfig | None = None) -> None:
-    """``repro serve``: run until cancelled (Ctrl-C)."""
+    """``repro serve``: run until SIGTERM or SIGINT, then shut down.
+
+    Both signals go through loop handlers — also when SIGINT was
+    inherited as ignored — so the server closes and the shard pool is
+    reaped before the process exits.
+    """
     app = ServeApp(config)
     server = await app.serve()
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(sig, stop.set)
     addr = ", ".join(
         f"{sock.getsockname()[0]}:{sock.getsockname()[1]}"
         for sock in server.sockets
     )
-    print(f"serving memory advisor on {addr} (jobs={app.config.jobs})")
+    print(f"serving memory advisor on {addr} (jobs={app.config.jobs})", flush=True)
     try:
         async with server:
-            await server.serve_forever()
+            await stop.wait()
     finally:
         app.shutdown()

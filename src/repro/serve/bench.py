@@ -88,8 +88,18 @@ class Client:
 # -- workload ------------------------------------------------------------------
 
 
+#: Distinct queries the population can hold: 5 kernels x 3 sizes, each
+#: size also once bumped.
+MAX_DISTINCT = 30
+
+
 def _query_population(seed: int, distinct: int) -> list[dict[str, Any]]:
     """A deterministic set of small advise queries across kernel types."""
+    if not 1 <= distinct <= MAX_DISTINCT:
+        raise ValueError(
+            f"distinct={distinct}: the workload holds 1 to {MAX_DISTINCT} "
+            f"distinct queries (the {MAX_DISTINCT}-query ceiling)"
+        )
     rng = random.Random(seed)
     kernels = [
         lambda: {"kernel": "stream", "params": {"n": rng.choice([1 << 18, 1 << 20, 1 << 22])}},
@@ -151,12 +161,12 @@ async def _run(
     jobs: int,
     cache_dir: Path | None,
 ) -> dict[str, Any]:
+    population = _query_population(seed, distinct)
     app = ServeApp(
         ServeConfig(port=0, jobs=jobs, cache_dir=cache_dir, window_s=0.001)
     )
     server = await app.serve()
     host, port = server.sockets[0].getsockname()[:2]
-    population = _query_population(seed, distinct)
     rng = random.Random(seed + 1)
 
     try:
@@ -287,6 +297,7 @@ def run_bench(
     ``serve.engine.executions`` counter); the caller's telemetry state
     is restored on exit. With ``cache_dir=None`` the bench runs against
     a fresh temporary cache (the coalescing proof requires a cold key).
+    Raises ``ValueError`` when ``distinct`` is outside 1..:data:`MAX_DISTINCT`.
     """
     import contextlib as _ctx
     import tempfile

@@ -30,15 +30,13 @@ SPAN_POOL_REAP = "pool.reap"
 SPAN_EXPERIMENT = "experiment"
 #: One stepping-model curve (``repro.engine.stepping.curve``).
 SPAN_STEPPING_CURVE = "stepping.curve"
-#: Kernel access-trace generation (scalar and batched paths).
+#: Kernel access-trace generation (``kernel_trace_chunks``).
 SPAN_KERNEL_TRACE = "kernel.trace"
-#: Scalar kernel simulation (trace + hierarchy walk).
+#: Kernel simulation (trace generation + hierarchy replay).
 SPAN_KERNEL_SIMULATE = "kernel.simulate"
-#: Batched (ndarray) kernel simulation.
-SPAN_KERNEL_SIMULATE_BATCHED = "kernel.simulate_batched"
 #: One kernel evaluated inside a Broadwell/KNL sweep.
 SPAN_SWEEP_KERNEL = "sweep.kernel"
-#: One hierarchy trace replay (scalar run/run_lines and batched paths).
+#: One hierarchy trace replay (``Hierarchy.run_batched``).
 SPAN_HIERARCHY_RUN = "hierarchy.run"
 #: One HTTP request handled by the memory-advisor service (manual
 #: lifecycle: the asyncio handler interleaves requests on one thread).
@@ -64,7 +62,6 @@ SPAN_NAMES = frozenset(
         SPAN_STEPPING_CURVE,
         SPAN_KERNEL_TRACE,
         SPAN_KERNEL_SIMULATE,
-        SPAN_KERNEL_SIMULATE_BATCHED,
         SPAN_SWEEP_KERNEL,
         SPAN_HIERARCHY_RUN,
         SPAN_SERVE_REQUEST,

@@ -1,19 +1,13 @@
-"""Access-trace infrastructure: events, synthetic generators, stack distances."""
+"""Trace infrastructure: ndarray line-address chunks, synthetic generators,
+stack distances."""
 
-from repro.trace.batch import CHUNK, chunk_accesses, chunk_arrays, expand_lines
-from repro.trace.events import Access, reads, to_line_trace, writes
+from repro.trace.batch import CHUNK, chunk_arrays, expand_lines
 from repro.trace.generator import (
-    pointer_chase,
     pointer_chase_array,
-    repeated_sweep,
     repeated_sweep_array,
-    sequential,
     sequential_array,
-    strided,
     strided_array,
-    tiled_2d,
     tiled_2d_array,
-    uniform_random,
     uniform_random_array,
 )
 from repro.trace.reservoir import (
@@ -25,30 +19,19 @@ from repro.trace.reservoir import (
 from repro.trace.stackdist import StackDistanceProfile, stack_distances
 
 __all__ = [
-    "Access",
     "CHUNK",
     "Reservoir",
     "SampledProfile",
     "StackDistanceProfile",
-    "chunk_accesses",
     "chunk_arrays",
     "expand_lines",
-    "pointer_chase",
     "pointer_chase_array",
-    "reads",
-    "repeated_sweep",
     "repeated_sweep_array",
     "sampled_stack_distances",
     "sampled_stack_distances_stream",
-    "sequential",
     "sequential_array",
     "stack_distances",
-    "strided",
     "strided_array",
-    "tiled_2d",
     "tiled_2d_array",
-    "to_line_trace",
-    "uniform_random",
     "uniform_random_array",
-    "writes",
 ]

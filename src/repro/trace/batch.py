@@ -1,28 +1,22 @@
-"""Batched (ndarray) trace construction.
+"""Trace construction: byte accesses to line-address chunks.
 
-The scalar trace path yields one :class:`~repro.trace.events.Access` per
-reference and expands it to ``(line_addr, is_write)`` tuples — clean, but
-every reference costs several Python-object allocations before the
-simulator even sees it. This module is the array half of the pipeline:
-byte-granular address/size/write *arrays* are expanded to line-address
-chunks entirely inside numpy, and the chunks feed
-:meth:`repro.memory.hierarchy.Hierarchy.run_array` /
-:meth:`~repro.memory.hierarchy.Hierarchy.run_batched` directly.
+A trace is ndarray ``(line_addrs, writes)`` chunks. Byte-granular
+address/size/write *arrays* are expanded to line addresses entirely
+inside numpy, and the chunks feed
+:meth:`repro.memory.hierarchy.Hierarchy.run_batched` directly.
 
 The expansion is exact: for every access, the lines touched are
-``addr // line .. (addr + size - 1) // line`` in ascending order, matching
-:func:`repro.memory.cacheline.lines_touched` element for element, so a
-batched trace is a reordering-free reencoding of the scalar one.
+``addr // line .. (addr + size - 1) // line`` in ascending order, the
+per-reference expansion ``tests/oracle.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.platforms.spec import LINE_BYTES
-from repro.trace.events import Access
 
 #: Default chunk length (references per ndarray handed to the simulator).
 #: Large enough to amortize per-chunk overhead, small enough to stay
@@ -40,13 +34,19 @@ def expand_lines(
 
     ``sizes`` and ``writes`` may be scalars applied to every access. An
     access spanning multiple lines contributes one entry per line, in
-    ascending line order at the access's position in the stream — the
-    exact order :func:`repro.trace.events.to_line_trace` produces.
+    ascending line order at the access's position in the stream.
+    Negative byte addresses and sizes <= 0 are rejected.
     """
     addrs = np.asarray(addrs, dtype=np.int64)
     if addrs.ndim != 1:
         raise ValueError("addrs must be 1-D")
     n = addrs.shape[0]
+    if n and int(addrs.min()) < 0:
+        first = int(np.flatnonzero(addrs < 0)[0])
+        raise ValueError(
+            f"addrs[{first}] = {int(addrs[first])}: "
+            "byte addresses must be non-negative"
+        )
     sizes_arr = np.broadcast_to(np.asarray(sizes, dtype=np.int64), (n,))
     if n and int(sizes_arr.min()) <= 0:
         raise ValueError("sizes must be positive")
@@ -63,44 +63,6 @@ def expand_lines(
     starts = np.cumsum(counts) - counts
     expanded += np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     return expanded, np.repeat(writes_arr, counts)
-
-
-def chunk_accesses(
-    accesses: Iterable[Access],
-    line: int = LINE_BYTES,
-    chunk: int = CHUNK,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Adapt a scalar :class:`Access` stream to line-address chunks.
-
-    The bridge for tracers without a native array emitter: buffers
-    ``chunk`` accesses at a time and expands each buffer vectorized.
-    Chunks may come out slightly longer than ``chunk`` when accesses
-    straddle lines; order is preserved exactly.
-    """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    buf_a: list[int] = []
-    buf_s: list[int] = []
-    buf_w: list[bool] = []
-    for acc in accesses:
-        buf_a.append(acc.addr)
-        buf_s.append(acc.size)
-        buf_w.append(acc.write)
-        if len(buf_a) == chunk:
-            yield expand_lines(
-                np.array(buf_a, dtype=np.int64),
-                np.array(buf_s, dtype=np.int64),
-                np.array(buf_w, dtype=bool),
-                line,
-            )
-            buf_a, buf_s, buf_w = [], [], []
-    if buf_a:
-        yield expand_lines(
-            np.array(buf_a, dtype=np.int64),
-            np.array(buf_s, dtype=np.int64),
-            np.array(buf_w, dtype=bool),
-            line,
-        )
 
 
 def chunk_arrays(

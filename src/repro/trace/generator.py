@@ -5,116 +5,20 @@ sequential streaming, constant-stride scans, 2-D tile sweeps, uniform
 random access and dependent pointer chasing. The trace simulator and the
 analytic engine are cross-validated on these streams (tests/test_engine_*).
 
-Each generator has two faces: the historical per-:class:`Access` iterator
-and an ``*_array`` variant returning ``(byte_addrs, writes)`` ndarrays in
-the identical reference order (tests/test_trace_batch.py pins the
-equivalence). The array form feeds :func:`repro.trace.batch.expand_lines`
-and the hierarchy's batched fast path without per-reference Python
-objects.
+Each generator returns ``(byte_addrs, writes)`` ndarrays, the input of
+:func:`repro.trace.batch.expand_lines`. The per-reference twins in
+``tests/oracle.py`` pin the reference order (tests/test_trace_batch.py).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-
-from repro.trace.events import Access
-
-
-def sequential(
-    base: int, n_words: int, *, word: int = 8, write: bool = False
-) -> Iterator[Access]:
-    """A unit-stride scan over ``n_words`` words starting at ``base``."""
-    for i in range(n_words):
-        yield Access(base + i * word, size=word, write=write)
-
-
-def strided(
-    base: int, n_accesses: int, stride: int, *, word: int = 8, write: bool = False
-) -> Iterator[Access]:
-    """A constant-stride scan (``stride`` in bytes)."""
-    if stride <= 0:
-        raise ValueError("stride must be positive")
-    for i in range(n_accesses):
-        yield Access(base + i * stride, size=word, write=write)
-
-
-def repeated_sweep(
-    base: int, n_words: int, sweeps: int, *, word: int = 8, write: bool = False
-) -> Iterator[Access]:
-    """``sweeps`` back-to-back sequential passes over the same buffer.
-
-    This is the minimal workload exhibiting a cache peak: once the buffer
-    fits a level, every sweep after the first hits there.
-    """
-    for _ in range(sweeps):
-        yield from sequential(base, n_words, word=word, write=write)
-
-
-def tiled_2d(
-    base: int,
-    rows: int,
-    cols: int,
-    tile_rows: int,
-    tile_cols: int,
-    *,
-    word: int = 8,
-    write: bool = False,
-) -> Iterator[Access]:
-    """Row-major traversal of a matrix in tiles (GEMM-style blocking)."""
-    if tile_rows <= 0 or tile_cols <= 0:
-        raise ValueError("tile dims must be positive")
-    for ti in range(0, rows, tile_rows):
-        for tj in range(0, cols, tile_cols):
-            for i in range(ti, min(ti + tile_rows, rows)):
-                for j in range(tj, min(tj + tile_cols, cols)):
-                    yield Access(base + (i * cols + j) * word, size=word, write=write)
-
-
-def uniform_random(
-    base: int,
-    span_words: int,
-    n_accesses: int,
-    *,
-    word: int = 8,
-    write: bool = False,
-    seed: int = 0,
-) -> Iterator[Access]:
-    """Uniformly random word accesses within a buffer (SpMV x-vector style)."""
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, span_words, size=n_accesses)
-    for i in idx:
-        yield Access(base + int(i) * word, size=word, write=write)
-
-
-def pointer_chase(
-    base: int,
-    span_words: int,
-    n_accesses: int,
-    *,
-    word: int = 8,
-    seed: int = 0,
-) -> Iterator[Access]:
-    """A dependent random walk: each address derived from the previous.
-
-    Models latency-bound kernels (SpTRSV's dependency chains): there is no
-    memory-level parallelism in this stream by construction.
-    """
-    rng = np.random.default_rng(seed)
-    pos = 0
-    for _ in range(n_accesses):
-        yield Access(base + pos * word, size=word, write=False)
-        pos = int(rng.integers(0, span_words))
-
-
-# -- ndarray variants --------------------------------------------------------
 
 
 def sequential_array(
     base: int, n_words: int, *, word: int = 8, write: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`sequential`: (byte_addrs, writes)."""
+    """A unit-stride scan over ``n_words`` words starting at ``base``."""
     addrs = base + np.arange(n_words, dtype=np.int64) * word
     return addrs, np.full(n_words, write, dtype=bool)
 
@@ -122,7 +26,7 @@ def sequential_array(
 def strided_array(
     base: int, n_accesses: int, stride: int, *, write: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`strided`."""
+    """A constant-stride scan (``stride`` in bytes)."""
     if stride <= 0:
         raise ValueError("stride must be positive")
     addrs = base + np.arange(n_accesses, dtype=np.int64) * stride
@@ -132,7 +36,11 @@ def strided_array(
 def repeated_sweep_array(
     base: int, n_words: int, sweeps: int, *, word: int = 8, write: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`repeated_sweep`."""
+    """``sweeps`` back-to-back sequential passes over the same buffer.
+
+    This is the minimal workload exhibiting a cache peak: once the buffer
+    fits a level, every sweep after the first hits there.
+    """
     addrs, writes = sequential_array(base, n_words, word=word, write=write)
     return np.tile(addrs, sweeps), np.tile(writes, sweeps)
 
@@ -147,7 +55,7 @@ def tiled_2d_array(
     word: int = 8,
     write: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`tiled_2d` (same tile traversal order)."""
+    """Row-major traversal of a matrix in tiles (GEMM-style blocking)."""
     if tile_rows <= 0 or tile_cols <= 0:
         raise ValueError("tile dims must be positive")
     pieces = []
@@ -172,7 +80,7 @@ def uniform_random_array(
     write: bool = False,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`uniform_random` (same rng draw sequence)."""
+    """Uniformly random word accesses within a buffer (SpMV x-vector style)."""
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, span_words, size=n_accesses).astype(np.int64)
     return base + idx * word, np.full(n_accesses, write, dtype=bool)
@@ -186,11 +94,13 @@ def pointer_chase_array(
     word: int = 8,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`pointer_chase`.
+    """A dependent random walk: each address derived from the previous.
 
-    The walk's positions depend only on the rng draw sequence, not on
-    memory contents, so the whole chain is precomputable: position 0
-    followed by the first ``n - 1`` draws.
+    Models latency-bound kernels (SpTRSV's dependency chains): there is no
+    memory-level parallelism in this stream by construction. The walk's
+    positions depend only on the rng draw sequence, not on memory
+    contents, so the whole chain is precomputable: position 0 followed by
+    the first ``n - 1`` draws.
     """
     rng = np.random.default_rng(seed)
     if n_accesses == 0:

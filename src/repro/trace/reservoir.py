@@ -208,7 +208,7 @@ class WindowSampler:
 
 
 def sampled_stack_distances(
-    line_trace: Iterable[int] | np.ndarray,
+    line_trace: np.ndarray,
     *,
     window: int = 4096,
     period: int = 4,
@@ -220,27 +220,11 @@ def sampled_stack_distances(
     a deterministic systematic sample (offset seeded) of one-in-``period``
     windows is analyzed exactly. Cold references at window starts are
     censored (distance unknown beyond the window), tracked in
-    ``censored_fraction``.
-
-    ndarray traces are windowed by slicing — no per-reference Python
-    buffering — and each sampled window goes down
-    :func:`~repro.trace.stackdist.stack_distances`' vectorized path.
-    Generic iterables (which may carry arbitrary hashable keys) buffer
-    windows as plain lists for the dict-scan path; both produce the same
-    estimate on integer traces.
+    ``censored_fraction``. Windows are ndarray slices, each analyzed by
+    :func:`~repro.trace.stackdist.stack_distances`.
     """
     sampler = WindowSampler(window, period, seed)
-    if isinstance(line_trace, np.ndarray):
-        sampler.push(line_trace)
-        return sampler.finish()
-    buffer: list = []
-    for line in line_trace:
-        buffer.append(line)
-        if len(buffer) == sampler.window:
-            sampler.complete(buffer)
-            buffer = []
-    if buffer:
-        sampler.tail(buffer)
+    sampler.push(np.asarray(line_trace, dtype=np.int64))
     return sampler.finish()
 
 

@@ -8,14 +8,9 @@ bridge between traces and the analytic hit-rate model
 (:mod:`repro.engine.hitrate`).
 
 Implemented with a Fenwick (binary indexed) tree over last-access
-timestamps: O(N log N) for a trace of N references. Two input paths feed
-one Fenwick loop:
-
-* ndarray traces (the batched generators in :mod:`repro.trace.batch` /
-  :mod:`repro.kernels.traces`) — previous-occurrence indices are computed
-  fully vectorized, no ``list()`` round-trip;
-* generic iterables — a dict scan builds the same indices (and keeps the
-  historical behaviour that any hashable line key works).
+timestamps: O(N log N) for a trace of N references. Previous-occurrence
+indices are computed fully vectorized, then one Fenwick loop counts the
+distinct lines between each pair.
 
 The per-timestamp ``add(t, +1)`` of the textbook algorithm is replaced by
 a closed-form preload of the all-ones tree (``tree[i] = i & -i``). That
@@ -99,16 +94,6 @@ def _prev_occurrence_vectorized(arr: np.ndarray) -> list[int]:
     return prev.tolist()
 
 
-def _prev_occurrence_scan(lines: list) -> list[int]:
-    """Dict-scan fallback for arbitrary hashable line keys."""
-    last_seen: dict = {}
-    prev = []
-    for t, line in enumerate(lines):
-        prev.append(last_seen.get(line, -1))
-        last_seen[line] = t
-    return prev
-
-
 def _fenwick_distances(prev: list[int], n: int) -> np.ndarray:
     """Stack distances from previous-occurrence indices.
 
@@ -147,21 +132,14 @@ def _fenwick_distances(prev: list[int], n: int) -> np.ndarray:
     return out
 
 
-def stack_distances(line_trace: Iterable[int] | np.ndarray) -> StackDistanceProfile:
+def stack_distances(line_trace: np.ndarray) -> StackDistanceProfile:
     """Compute per-reference LRU stack distances for a line-address trace.
 
-    Accepts any iterable of hashable line keys, or a 1-D ndarray of line
-    addresses (the batched fast path — no ``list()`` round-trip, with the
-    previous-occurrence pass fully vectorized).
+    ``line_trace`` is a 1-D array (or sequence) of integer line addresses.
     """
-    if isinstance(line_trace, np.ndarray):
-        arr = line_trace
-        if arr.ndim != 1:
-            raise ValueError("line trace array must be 1-D")
-        n = arr.shape[0]
-        prev = _prev_occurrence_vectorized(arr) if n else []
-    else:
-        lines = list(line_trace)
-        n = len(lines)
-        prev = _prev_occurrence_scan(lines)
+    arr = np.asarray(line_trace, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("line trace array must be 1-D")
+    n = arr.shape[0]
+    prev = _prev_occurrence_vectorized(arr) if n else []
     return StackDistanceProfile(distances=_fenwick_distances(prev, n))

@@ -17,9 +17,8 @@ replacement-policy effects).
 
 The harness runs entirely on the batched ndarray pipeline: the zoo's
 ``*_array`` generators feed :func:`repro.trace.expand_lines`, the
-hierarchy's :meth:`~repro.memory.hierarchy.Hierarchy.run_array` fast
-path, and the vectorized :func:`~repro.trace.stack_distances` — the same
-numbers as the scalar path (differentially tested), several times faster.
+hierarchy's :meth:`~repro.memory.hierarchy.Hierarchy.run_batched` replay,
+and the vectorized :func:`~repro.trace.stack_distances`.
 
 For traces too large to materialize (full-scale kernel and UF-matrix
 runs), :func:`validate_case_streamed` / :func:`validate_kernel_streamed`
@@ -129,7 +128,7 @@ def validate_case(
     addrs, wr = workload
     lines, line_writes = expand_lines(addrs, 8, wr)
     profile = stack_distances(lines)
-    hierarchy.run_array(lines, line_writes)
+    hierarchy.run_batched([(lines, line_writes)])
     return ValidationCase(name=name, levels=_level_errors(hierarchy, profile))
 
 

@@ -4,10 +4,13 @@ These exercise the installed-entry-point behaviour (argument parsing,
 exit codes, files on disk) that in-process ``main()`` calls can mask.
 """
 
+import http.client
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,17 +19,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
-def run_cli(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:
+def _env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def run_cli(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=_env(),
         cwd=str(REPO_ROOT),
     )
 
@@ -119,3 +126,75 @@ class TestKernelPhaseSpans:
         ]
         assert "kernel.trace" in names
         assert "hierarchy.run" in names
+
+
+def _session_members(sid: int) -> list[int]:
+    """Live (non-zombie) processes whose session id is ``sid``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # After the parenthesized command name: state, ppid, pgrp, session.
+        fields = stat[stat.rindex(")") + 2 :].split()
+        if fields[0] != "Z" and int(fields[3]) == sid:
+            members.append(int(entry.name))
+    return members
+
+
+def _ignore_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestServeShutdown:
+    @pytest.mark.parametrize(
+        "sig,preexec",
+        [(signal.SIGTERM, None), (signal.SIGINT, _ignore_sigint)],
+        ids=["sigterm", "sigint-inherited-ignored"],
+    )
+    def test_signal_exits_0_and_reaps_shard(self, tmp_path, sig, preexec):
+        trace = tmp_path / "serve.jsonl"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--jobs", "1",
+                "--port", "0", "--cache-dir", str(tmp_path / "cache"),
+                "--trace", str(trace),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env(),
+            start_new_session=True,
+            preexec_fn=preexec,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "serving memory advisor on" in banner, banner
+            port = int(banner.split(" on ", 1)[1].split()[0].rsplit(":", 1)[1])
+            # One advise query starts the shard worker.
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            query = {"kernel": "gemm", "params": {"order": 128}}
+            conn.request("POST", "/v1/advise", body=json.dumps(query))
+            assert conn.getresponse().status == 200
+            conn.close()
+            assert len(_session_members(proc.pid)) >= 2  # server + shard
+
+            proc.send_signal(sig)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0
+            assert "shutting down" in err
+            assert trace.read_text().strip()
+            deadline = time.monotonic() + 10
+            while _session_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _session_members(proc.pid) == []
+        finally:
+            for pid in _session_members(proc.pid):
+                os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()

@@ -12,7 +12,12 @@ import pytest
 from repro.kernels.profile import ReuseCurve
 from repro.memory import for_broadwell
 from repro.platforms import broadwell
-from repro.trace import repeated_sweep, stack_distances, to_line_trace, uniform_random
+from repro.trace import (
+    expand_lines,
+    repeated_sweep_array,
+    stack_distances,
+    uniform_random_array,
+)
 
 SCALE = 0.001
 
@@ -37,8 +42,8 @@ class TestSweepAgreement:
         sweeps = 8
         footprint = n_words * 8
         curve = ReuseCurve([(footprint, 1.0 - 1.0 / sweeps)])
-        trace = list(to_line_trace(repeated_sweep(0, n_words, sweeps)))
-        stats = h.run(iter(trace))
+        addrs, writes = repeated_sweep_array(0, n_words, sweeps)
+        stats = h.run_batched([expand_lines(addrs, 8, writes)])
         caps = scaled_capacities(h)
         # Cumulative hit fraction up to each level, model vs simulator.
         served = 0
@@ -56,10 +61,10 @@ class TestSweepAgreement:
         simulator's cumulative hit rates (fully associative regime)."""
         machine = broadwell()
         h = for_broadwell(machine, scale=SCALE)
-        trace = list(to_line_trace(repeated_sweep(0, 3000, 5)))
-        lines = [l for l, _ in trace]
+        addrs, writes = repeated_sweep_array(0, 3000, 5)
+        lines, line_writes = expand_lines(addrs, 8, writes)
         profile = stack_distances(lines)
-        stats = h.run(iter(trace))
+        stats = h.run_batched([(lines, line_writes)])
         caps = scaled_capacities(h)
         served = 0
         total = stats.total_accesses
@@ -78,12 +83,10 @@ class TestRandomAgreement:
         the stack-distance prediction within a conflict tolerance."""
         machine = broadwell()
         h = for_broadwell(machine, scale=SCALE)
-        trace = list(
-            to_line_trace(uniform_random(0, 4000, 20000, seed=7))
-        )
-        lines = [l for l, _ in trace]
+        addrs, writes = uniform_random_array(0, 4000, 20000, seed=7)
+        lines, line_writes = expand_lines(addrs, 8, writes)
         profile = stack_distances(lines)
-        stats = h.run(iter(trace))
+        stats = h.run_batched([(lines, line_writes)])
         caps = scaled_capacities(h)
         served = 0
         total = stats.total_accesses

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.memory import for_broadwell, for_knl, hierarchy_allocator
 from repro.platforms import McdramMode, broadwell, knl
+from tests import oracle
 
 SCALE = 0.001
 
@@ -45,7 +46,7 @@ class TestBroadwellFuzz:
     @given(trace=traces(), edram=st.booleans())
     def test_conservation(self, trace, edram):
         h = for_broadwell(broadwell(), edram=edram, scale=SCALE)
-        stats = h.run(iter(trace))
+        stats = oracle.run(h, trace)
         _check_conservation(stats)
 
     @settings(max_examples=15, deadline=None)
@@ -53,15 +54,15 @@ class TestBroadwellFuzz:
     def test_edram_never_increases_dram_reads(self, trace):
         on = for_broadwell(broadwell(), edram=True, scale=SCALE)
         off = for_broadwell(broadwell(), edram=False, scale=SCALE)
-        s_on = on.run(iter(trace))
-        s_off = off.run(iter(trace))
+        s_on = oracle.run(on, trace)
+        s_off = oracle.run(off, trace)
         assert s_on["DDR3"].accesses <= s_off["DDR3"].accesses
 
     @settings(max_examples=15, deadline=None)
     @given(trace=traces(), prefetch=st.sampled_from([None, "next-line", "stride"]))
     def test_prefetch_preserves_conservation(self, trace, prefetch):
         h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
-        stats = h.run(iter(trace))
+        stats = oracle.run(h, trace)
         # Prefetch fills add DRAM reads beyond demand: serviced >= total.
         for lvl in stats:
             assert lvl.hits + lvl.misses == lvl.accesses
@@ -70,10 +71,10 @@ class TestBroadwellFuzz:
     @given(trace=traces())
     def test_reset_restores_clean_state(self, trace):
         h = for_broadwell(broadwell(), scale=SCALE)
-        first = h.run(iter(trace))
+        first = oracle.run(h, trace)
         snapshot = [(l.name, l.accesses, l.hits) for l in first]
         h.reset()
-        again = h.run(iter(trace))
+        again = oracle.run(h, trace)
         assert [(l.name, l.accesses, l.hits) for l in again] == snapshot
 
 
@@ -92,7 +93,7 @@ class TestKnlFuzz:
                 alloc.allocate("fuzz", span_bytes)
             except MemoryError:
                 return  # degenerate allocation: nothing to check
-        stats = h.run(iter(trace))
+        stats = oracle.run(h, trace)
         _check_conservation(stats)
 
     @settings(max_examples=10, deadline=None)
@@ -100,6 +101,6 @@ class TestKnlFuzz:
     def test_cache_mode_reduces_ddr_traffic_vs_off(self, trace):
         on = for_knl(knl(), McdramMode.CACHE, scale=SCALE)
         off = for_knl(knl(), McdramMode.OFF, scale=SCALE)
-        s_on = on.run(iter(trace))
-        s_off = off.run(iter(trace))
+        s_on = oracle.run(on, trace)
+        s_off = oracle.run(off, trace)
         assert s_on["DDR4"].accesses <= s_off["DDR4"].accesses

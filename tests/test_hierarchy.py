@@ -9,14 +9,20 @@ from repro.memory import (
     hierarchy_allocator,
 )
 from repro.platforms import McdramMode, broadwell, knl
-from repro.trace import repeated_sweep, sequential, to_line_trace
+from repro.trace import expand_lines, repeated_sweep_array, sequential_array
 
 #: Scale factor making capacities small enough for fast exact simulation.
 SCALE = 0.001
 
 
+def _replay(hierarchy, trace):
+    """Replay a generator's (byte_addrs, writes) word trace."""
+    addrs, writes = trace
+    return hierarchy.run_batched([expand_lines(addrs, 8, writes)])
+
+
 def _sweep_stats(hierarchy, n_words, sweeps=4, base=0):
-    return hierarchy.run(to_line_trace(repeated_sweep(base, n_words, sweeps)))
+    return _replay(hierarchy, repeated_sweep_array(base, n_words, sweeps))
 
 
 class TestBroadwellShape:
@@ -54,7 +60,7 @@ class TestBroadwellShape:
 
     def test_victim_promotion_keeps_line_out_of_l4(self):
         h = for_broadwell(broadwell(), scale=SCALE)
-        h.run(to_line_trace(repeated_sweep(0, 2000, 2)))
+        _sweep_stats(h, 2000, sweeps=2)
         # After the run, lines recently promoted back to L3 must not
         # be double-counted: hit rates stay in [0, 1].
         for lvl in h.stats():
@@ -68,11 +74,7 @@ class TestBroadwellShape:
 
     def test_write_trace_produces_writebacks(self):
         h = for_broadwell(broadwell(), scale=SCALE)
-        h.run(
-            to_line_trace(
-                repeated_sweep(0, 5000, 3, write=True)
-            )
-        )
+        _replay(h, repeated_sweep_array(0, 5000, 3, write=True))
         total_wb = sum(lvl.writebacks for lvl in h.stats())
         assert total_wb > 0
 
@@ -100,7 +102,7 @@ class TestKnlShapes:
         alloc = hierarchy_allocator(h)
         assert alloc is not None
         alloc.allocate("a", 4000 * 8)
-        stats = h.run(to_line_trace(repeated_sweep(4096, 4000, 3)))
+        stats = _sweep_stats(h, 4000, sweeps=3, base=4096)
         assert stats["MCDRAM-flat"].hits > 0
         assert stats["DDR4"].accesses == 0
 
@@ -110,7 +112,7 @@ class TestKnlShapes:
         alloc = NumaAllocator(4096, 1 << 30)
         h = for_knl(machine, McdramMode.FLAT, allocator=alloc, scale=SCALE)
         alloc.allocate("a", 3 * 4096)
-        stats = h.run(to_line_trace(sequential(4096, 3 * 512)))
+        stats = _replay(h, sequential_array(4096, 3 * 512))
         assert stats["MCDRAM-flat"].accesses > 0
         assert stats["DDR4"].accesses > 0
 
@@ -123,7 +125,7 @@ class TestKnlShapes:
         flat_cap = alloc.mcdram_capacity
         alloc.allocate("a", flat_cap + 20 * 4096)
         n_words = (flat_cap + 20 * 4096) // 8
-        stats = h.run(to_line_trace(repeated_sweep(4096, n_words, 4)))
+        stats = _sweep_stats(h, n_words, base=4096)
         assert stats["MCDRAM-flat"].hits > 0
         assert stats["MCDRAM"].hits > 0  # cache half
 
@@ -143,9 +145,9 @@ class TestAgainstStackDistance:
 
         machine = broadwell()
         h = for_broadwell(machine, scale=SCALE)
-        trace = list(to_line_trace(repeated_sweep(0, 256, 6)))
-        lines = [l for l, _ in trace]
-        stats = h.run(iter(trace))
+        addrs, writes = repeated_sweep_array(0, 256, 6)
+        lines, line_writes = expand_lines(addrs, 8, writes)
+        stats = h.run_batched([(lines, line_writes)])
         profile = stack_distances(lines)
         l1_lines = h._stages[0].cache.capacity // 64
         predicted = profile.hit_rate(l1_lines)

@@ -6,25 +6,35 @@ the measured reuse behaviour orders and bounds the way each kernel's
 ReuseCurve claims.
 """
 
+import math
+
 import pytest
 
 from repro.kernels import (
     CholeskyKernel,
+    FftKernel,
     GemmKernel,
     SpmvKernel,
+    SptransKernel,
     SptrsvKernel,
     StencilKernel,
     StreamKernel,
 )
-from repro.kernels.traces import (
-    MAX_EVENTS,
+from repro.kernels.traces import MAX_EVENTS, kernel_trace_chunks
+from repro.sparse import generators
+from repro.trace import stack_distances
+from tests.oracle import (
     kernel_trace,
+    to_line_trace,
+    trace_cholesky,
+    trace_fft,
     trace_gemm,
     trace_spmv,
+    trace_sptrans,
+    trace_sptrsv,
+    trace_stencil,
     trace_stream,
 )
-from repro.sparse import generators
-from repro.trace import stack_distances, to_line_trace
 
 
 def measured_hit_rate(accesses, capacity_bytes):
@@ -54,11 +64,10 @@ class TestEventCounts:
         assert len(list(kernel_trace(StreamKernel(n=10)))) == 30
         with pytest.raises(TypeError):
             kernel_trace(object())  # type: ignore[arg-type]
+        with pytest.raises(TypeError, match="no tracer for object"):
+            kernel_trace_chunks(object())  # type: ignore[arg-type]
 
     def test_sptrans_event_count(self):
-        from repro.kernels import SptransKernel
-        from repro.kernels.traces import trace_sptrans
-
         m = generators.random_uniform(40, 200, seed=4)
         events = list(trace_sptrans(SptransKernel.from_matrix(m)))
         # 2 per nnz (histogram) + 2 per col (scan) + 4 per nnz (scatter).
@@ -66,9 +75,6 @@ class TestEventCounts:
 
     def test_sptrans_scatter_writes_column_ordered(self):
         """Output slots must be written in a permutation of 0..nnz-1."""
-        from repro.kernels import SptransKernel
-        from repro.kernels.traces import trace_sptrans
-
         m = generators.random_uniform(30, 150, seed=5)
         events = list(trace_sptrans(SptransKernel.from_matrix(m)))
         out_val_writes = [
@@ -79,20 +85,12 @@ class TestEventCounts:
         assert len(set(out_val_writes)) == m.nnz
 
     def test_fft_event_count(self):
-        import math
-
-        from repro.kernels import FftKernel
-        from repro.kernels.traces import trace_fft
-
         n = 8
         events = list(trace_fft(FftKernel(size=n)))
         stages = math.ceil(math.log2(n))
         assert len(events) == 3 * stages * n**3 * 2
 
     def test_fft_pencil_reuse_measurable(self):
-        from repro.kernels import FftKernel
-        from repro.kernels.traces import trace_fft
-
         kernel = FftKernel(size=8)
         # A capacity holding a few pencils captures the butterfly sweeps.
         rate, _ = measured_hit_rate(trace_fft(kernel), 16 * 8 * 64)
@@ -101,6 +99,8 @@ class TestEventCounts:
     def test_guard_rejects_huge_traces(self):
         with pytest.raises(ValueError, match="guard"):
             list(trace_gemm(GemmKernel(order=4096, tile=256)))
+        with pytest.raises(ValueError, match="guard"):
+            kernel_trace_chunks(GemmKernel(order=4096, tile=256))
         assert MAX_EVENTS > 0
 
     def test_reps_multiply(self):
@@ -156,8 +156,6 @@ class TestTraceValidatesProfiles:
 
     def test_sptrsv_trace_respects_dependencies(self):
         """Every x[j] gather happens after x[j] was produced."""
-        from repro.kernels.traces import trace_sptrsv
-
         kernel = SptrsvKernel.from_matrix(
             generators.random_uniform(60, 400, seed=3)
         )
@@ -177,16 +175,12 @@ class TestTraceValidatesProfiles:
         """Neighbor reads hit once a few planes fit — the plane knot."""
         kernel = StencilKernel(20, 20, 20)
         plane_bytes = 8 * (2 * 8 + 1) * 20 * 20
-        from repro.kernels.traces import trace_stencil
-
         small, _ = measured_hit_rate(trace_stencil(kernel), plane_bytes // 16)
         big, _ = measured_hit_rate(trace_stencil(kernel), 2 * plane_bytes)
         assert big > small
         assert big > 0.9  # the 49-point star is highly reusing
 
     def test_cholesky_trace_runs(self):
-        from repro.kernels.traces import trace_cholesky
-
         events = list(trace_cholesky(CholeskyKernel(order=16, tile=8)))
         assert events
         assert any(e.write for e in events)

@@ -9,12 +9,10 @@ from repro.memory import (
     NumaAllocator,
     PAGE,
     VictimCache,
-    count_lines,
-    line_of,
-    lines_touched,
 )
 from repro.platforms import GIB, McdramMode, mcdram_spec
 from repro.platforms.broadwell import edram_spec
+from tests.oracle import count_lines, line_of, lines_touched
 
 
 class TestCacheLine:

@@ -5,7 +5,13 @@ import pytest
 from repro.memory import SetAssociativeCache, for_broadwell
 from repro.memory.prefetch import NextLinePrefetcher, StridePrefetcher
 from repro.platforms import broadwell
-from repro.trace import sequential, strided, to_line_trace, uniform_random
+from repro.trace import expand_lines, sequential_array, strided_array, uniform_random_array
+
+
+def _lines(trace):
+    """Line-address chunk of a generator's (byte_addrs, writes) word trace."""
+    addrs, writes = trace
+    return [expand_lines(addrs, 8, writes)]
 
 
 class TestNextLine:
@@ -87,18 +93,18 @@ class TestHierarchyIntegration:
         machine = broadwell()
         base = for_broadwell(machine, scale=0.001)
         with_pf = for_broadwell(machine, scale=0.001, prefetch="next-line")
-        trace = list(to_line_trace(sequential(0, 20_000)))
-        s_base = base.run(iter(trace))
-        s_pf = with_pf.run(iter(trace))
+        trace = _lines(sequential_array(0, 20_000))
+        s_base = base.run_batched(trace)
+        s_pf = with_pf.run_batched(trace)
         assert s_pf["L3"].hit_rate > s_base["L3"].hit_rate + 0.5
 
     def test_stride_prefetcher_covers_strided_scan(self):
         machine = broadwell()
         nl = for_broadwell(machine, scale=0.001, prefetch="next-line")
         st = for_broadwell(machine, scale=0.001, prefetch="stride")
-        trace = list(to_line_trace(strided(0, 5_000, 64 * 5)))  # 5-line stride
-        s_nl = nl.run(iter(trace))
-        s_st = st.run(iter(trace))
+        trace = _lines(strided_array(0, 5_000, 64 * 5))  # 5-line stride
+        s_nl = nl.run_batched(trace)
+        s_st = st.run_batched(trace)
         assert s_st["L3"].hit_rate > s_nl["L3"].hit_rate + 0.3
 
     def test_prefetch_traffic_accounted(self):
@@ -106,9 +112,9 @@ class TestHierarchyIntegration:
         machine = broadwell()
         base = for_broadwell(machine, scale=0.001)
         with_pf = for_broadwell(machine, scale=0.001, prefetch="next-line")
-        trace = list(to_line_trace(sequential(0, 20_000)))
-        s_base = base.run(iter(trace))
-        s_pf = with_pf.run(iter(trace))
+        trace = _lines(sequential_array(0, 20_000))
+        s_base = base.run_batched(trace)
+        s_pf = with_pf.run_batched(trace)
         # Total DRAM reads with prefetching >= demand-only DRAM reads.
         assert s_pf["DDR3"].accesses >= s_base["DDR3"].accesses * 0.95
 
@@ -116,9 +122,9 @@ class TestHierarchyIntegration:
         machine = broadwell()
         with_pf = for_broadwell(machine, scale=0.001, prefetch="next-line")
         base = for_broadwell(machine, scale=0.001)
-        trace = list(to_line_trace(uniform_random(0, 500_000, 20_000, seed=1)))
-        s_pf = with_pf.run(iter(trace))
-        s_base = base.run(iter(trace))
+        trace = _lines(uniform_random_array(0, 500_000, 20_000, seed=1))
+        s_pf = with_pf.run_batched(trace)
+        s_base = base.run_batched(trace)
         # No useful coverage, but extra DRAM traffic from bad prefetches.
         assert s_pf["L3"].hit_rate < s_base["L3"].hit_rate + 0.05
         assert s_pf["DDR3"].accesses > s_base["DDR3"].accesses
@@ -175,7 +181,7 @@ class TestEvictionRegressions:
         h = for_broadwell(broadwell(), scale=0.001, prefetch="next-line")
         rng = np.random.default_rng(7)
         addrs = rng.integers(0, 50_000, size=30_000).astype(np.int64)
-        h.run_array(addrs, True)
+        h.run_batched([(addrs, True)])
         pf = h._prefetcher
         assert len(pf._outstanding) <= pf.cache.capacity // pf.cache.line
 
@@ -192,8 +198,8 @@ class TestEvictionRegressions:
 
     def test_hierarchy_reset_clears_prefetcher(self):
         h = for_broadwell(broadwell(), scale=0.001, prefetch="stride")
-        trace = list(to_line_trace(strided(0, 5_000, 64 * 5)))
-        h.run(iter(trace))
+        trace = _lines(strided_array(0, 5_000, 64 * 5))
+        h.run_batched(trace)
         assert h._prefetcher.stats.issued > 0
         h.reset()
         assert h._prefetcher.stats.issued == 0

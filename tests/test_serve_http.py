@@ -1,6 +1,7 @@
 """Serve stack: HTTP protocol, routes, coalescing, pool, differential."""
 
 import asyncio
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from repro.runtime import faults
 from repro.serve import advisor
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.batcher import Batcher
-from repro.serve.bench import Client
+from repro.serve.bench import Client, _query_population, run_bench
 from repro.serve.http import (
     MAX_BODY_BYTES,
     ProtocolError,
@@ -431,3 +432,28 @@ class TestPoolFaults:
         status, payload = run(go())
         assert status == 500
         assert "attempts" in payload["error"]["message"]
+
+
+class TestServeBenchPopulation:
+    def test_distinct_above_ceiling_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="30-query ceiling"):
+            run_bench(out=tmp_path / "bench.json", distinct=31)
+
+    def test_cli_distinct_above_ceiling_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "bench.json"
+        assert main(["serve-bench", "--distinct", "31", "-o", str(out)]) == 2
+        assert "30-query ceiling" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_population_unchanged_up_to_ceiling(self):
+        full = _query_population(7, 30)
+        assert full[:2] == [
+            {"kernel": "stream", "params": {"n": 1 << 20}},
+            {"kernel": "gemm", "params": {"order": 128}},
+        ]
+        digest = hashlib.sha256(json.dumps(full, sort_keys=True).encode()).hexdigest()
+        assert digest == "745008847e682c92637c2112825faa41ffc40a936a0c7afb960d436ea9802b6a"
+        for distinct in range(1, 30):
+            assert _query_population(7, distinct) == full[:distinct]

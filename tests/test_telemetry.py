@@ -3,6 +3,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -272,13 +273,14 @@ class TestIntegration:
 
         telemetry.configure(enabled=True)
         h = for_broadwell(broadwell(), scale=0.0005)
-        h.run_lines(range(4096))
+        lines = np.arange(4096)
+        h.run_batched([(lines, False)])
         reg = telemetry.get_registry()
         assert reg.counter("memory.L1.accesses").value == 4096
         spans = list(telemetry.get_tracer().iter_finished("hierarchy.run"))
         assert spans and spans[0].attrs["refs"] == 4096
         # Second run publishes deltas, not cumulative totals.
-        h.run_lines(range(4096))
+        h.run_batched([(lines, False)])
         assert reg.counter("memory.L1.accesses").value == 8192
         assert reg.counter("memory.L1.cache.evictions").value >= 0
 
@@ -325,9 +327,9 @@ class TestHierarchyStats:
         from repro.platforms import broadwell
 
         h = for_broadwell(broadwell(), scale=0.0005)
-        a = h.run_lines(range(512))
+        a = h.run_batched([(np.arange(512), False)])
         h.reset()
-        b = h.run_lines(range(512))
+        b = h.run_batched([(np.arange(512), False)])
         merged = a.merge(b)
         assert merged["L1"].accesses == a["L1"].accesses + b["L1"].accesses
         d = merged.as_dict()

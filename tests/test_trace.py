@@ -1,98 +1,99 @@
-"""Trace infrastructure: events, generators, stack distances."""
+"""Trace infrastructure: line expansion, generators, stack distances."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace import (
-    Access,
-    pointer_chase,
-    reads,
-    repeated_sweep,
-    sequential,
+    expand_lines,
+    pointer_chase_array,
+    repeated_sweep_array,
+    sequential_array,
     stack_distances,
-    strided,
-    tiled_2d,
-    to_line_trace,
-    uniform_random,
-    writes,
+    strided_array,
+    tiled_2d_array,
+    uniform_random_array,
 )
 
 
+def _pairs(la, lw):
+    return list(zip(la.tolist(), lw.tolist()))
+
+
 class TestAccess:
+    """The per-access input checks, enforced at the array boundary."""
+
     def test_defaults(self):
-        a = Access(64)
-        assert a.size == 8 and not a.write
+        assert _pairs(*expand_lines(np.array([64]), 8, False)) == [(1, False)]
 
     def test_rejects_negative_addr(self):
-        with pytest.raises(ValueError):
-            Access(-1)
+        with pytest.raises(ValueError, match=r"addrs\[0\] = -1"):
+            expand_lines(np.array([-1]), 8, False)
 
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
-            Access(0, size=0)
+            expand_lines(np.array([0]), 0, False)
 
     def test_reads_writes_wrappers(self):
-        rs = list(reads([0, 8]))
-        ws = list(writes([16]))
-        assert all(not a.write for a in rs)
-        assert all(a.write for a in ws)
+        _, rs = expand_lines(np.array([0, 8]), 8, False)
+        _, ws = expand_lines(np.array([16]), 8, True)
+        assert not rs.any()
+        assert ws.all()
 
 
 class TestLineExpansion:
     def test_word_accesses_within_line(self):
-        trace = list(to_line_trace(sequential(0, 8)))
-        assert trace == [(0, False)] * 8
+        addrs, writes = sequential_array(0, 8)
+        assert _pairs(*expand_lines(addrs, 8, writes)) == [(0, False)] * 8
 
     def test_spanning_access(self):
-        trace = list(to_line_trace([Access(60, size=8)]))
-        assert trace == [(0, False), (1, False)]
+        assert _pairs(*expand_lines(np.array([60]), 8, False)) == [(0, False), (1, False)]
 
     def test_write_flag_propagates(self):
-        trace = list(to_line_trace([Access(0, size=8, write=True)]))
-        assert trace == [(0, True)]
+        assert _pairs(*expand_lines(np.array([0]), 8, True)) == [(0, True)]
 
 
 class TestGenerators:
     def test_sequential_addresses(self):
-        addrs = [a.addr for a in sequential(100, 4)]
-        assert addrs == [100, 108, 116, 124]
+        addrs, _ = sequential_array(100, 4)
+        assert addrs.tolist() == [100, 108, 116, 124]
 
     def test_strided(self):
-        addrs = [a.addr for a in strided(0, 3, 256)]
-        assert addrs == [0, 256, 512]
+        addrs, _ = strided_array(0, 3, 256)
+        assert addrs.tolist() == [0, 256, 512]
 
     def test_strided_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            list(strided(0, 3, 0))
+            strided_array(0, 3, 0)
 
     def test_repeated_sweep_length(self):
-        assert len(list(repeated_sweep(0, 10, 3))) == 30
+        addrs, writes = repeated_sweep_array(0, 10, 3)
+        assert len(addrs) == len(writes) == 30
 
     def test_tiled_2d_covers_matrix_once(self):
-        accesses = list(tiled_2d(0, 6, 6, 2, 3))
-        assert len(accesses) == 36
-        assert len({a.addr for a in accesses}) == 36
+        addrs, _ = tiled_2d_array(0, 6, 6, 2, 3)
+        assert len(addrs) == 36
+        assert len(set(addrs.tolist())) == 36
 
     def test_tiled_2d_tile_locality(self):
         # First tile's addresses all fall within the first two rows.
-        accesses = list(tiled_2d(0, 4, 4, 2, 2))
-        first_tile = [a.addr // 8 for a in accesses[:4]]
-        assert set(first_tile) == {0, 1, 4, 5}
+        addrs, _ = tiled_2d_array(0, 4, 4, 2, 2)
+        assert set((addrs[:4] // 8).tolist()) == {0, 1, 4, 5}
 
     def test_tiled_rejects_bad_tile(self):
         with pytest.raises(ValueError):
-            list(tiled_2d(0, 4, 4, 0, 2))
+            tiled_2d_array(0, 4, 4, 0, 2)
 
     def test_uniform_random_deterministic(self):
-        a = [x.addr for x in uniform_random(0, 100, 50, seed=3)]
-        b = [x.addr for x in uniform_random(0, 100, 50, seed=3)]
-        assert a == b
+        a, _ = uniform_random_array(0, 100, 50, seed=3)
+        b, _ = uniform_random_array(0, 100, 50, seed=3)
+        assert a.tolist() == b.tolist()
 
     def test_pointer_chase_deterministic_and_bounded(self):
-        addrs = [x.addr for x in pointer_chase(0, 64, 100, seed=1)]
+        addrs, _ = pointer_chase_array(0, 64, 100, seed=1)
         assert len(addrs) == 100
-        assert max(addrs) < 64 * 8
+        assert addrs.max() < 64 * 8
 
 
 def _brute_force_stack_distances(lines):

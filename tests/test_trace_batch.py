@@ -1,9 +1,9 @@
-"""Batched trace pipeline: exact equivalence with the scalar oracle.
+"""ndarray trace pipeline: exact equivalence with the scalar oracle.
 
-The fast path is only allowed to be fast — never different. Every layer
-(line expansion, generators, kernel chunk emitters, the hierarchy's
-batched inner loop, the ndarray stack-distance path) is pinned
-differentially against its scalar counterpart here.
+The ndarray path is only allowed to be fast — never different. Every
+layer (line expansion, generators, kernel chunk emitters, the
+hierarchy's set-bucketed replay, the stack-distance path) is pinned
+differentially against its per-reference twin in ``tests/oracle.py``.
 """
 
 import numpy as np
@@ -19,31 +19,23 @@ from repro.kernels import (
     StencilKernel,
     StreamKernel,
 )
-from repro.kernels.traces import kernel_trace, kernel_trace_chunks
+from repro.kernels.traces import kernel_trace_chunks
 from repro.memory import for_broadwell, for_knl
 from repro.platforms import McdramMode, broadwell, knl
 from repro.sparse import generators
 from repro.trace import (
-    Access,
-    chunk_accesses,
     chunk_arrays,
     expand_lines,
-    pointer_chase,
     pointer_chase_array,
-    repeated_sweep,
     repeated_sweep_array,
     sampled_stack_distances,
-    sequential,
     sequential_array,
     stack_distances,
-    strided,
     strided_array,
-    tiled_2d,
     tiled_2d_array,
-    to_line_trace,
-    uniform_random,
     uniform_random_array,
 )
+from tests import oracle
 
 SCALE = 0.001
 
@@ -79,8 +71,10 @@ class TestExpandLines:
     def test_matches_to_line_trace_word_accesses(self):
         addrs = np.array([0, 8, 64, 120, 4096], dtype=np.int64)
         writes = np.array([False, True, False, True, False])
-        accesses = [Access(int(a), size=8, write=bool(w)) for a, w in zip(addrs, writes)]
-        expected = list(to_line_trace(accesses, 64))
+        accesses = [
+            oracle.Access(int(a), size=8, write=bool(w)) for a, w in zip(addrs, writes)
+        ]
+        expected = list(oracle.to_line_trace(accesses, 64))
         la, lw = expand_lines(addrs, 8, writes, 64)
         assert list(zip(la.tolist(), lw.tolist())) == expected
 
@@ -88,10 +82,21 @@ class TestExpandLines:
         # 8 bytes at 60 cross a 64B boundary; 200 bytes at 100 span 4 lines.
         addrs = np.array([60, 100], dtype=np.int64)
         sizes = np.array([8, 200], dtype=np.int64)
-        accesses = [Access(60, size=8, write=True), Access(100, size=200)]
-        expected = list(to_line_trace(accesses, 64))
+        accesses = [oracle.Access(60, size=8, write=True), oracle.Access(100, size=200)]
+        expected = list(oracle.to_line_trace(accesses, 64))
         la, lw = expand_lines(addrs, sizes, np.array([True, False]), 64)
         assert list(zip(la.tolist(), lw.tolist())) == expected
+        # Randomized mixed widths at unaligned addresses.
+        rng = np.random.default_rng(5)
+        addrs = rng.integers(0, 100_000, size=500)
+        sizes = rng.choice([4, 8, 16, 100], size=500)
+        writes = rng.random(500) < 0.3
+        accesses = [
+            oracle.Access(int(a), size=int(n), write=bool(w))
+            for a, n, w in zip(addrs, sizes, writes)
+        ]
+        la, lw = expand_lines(addrs, sizes, writes, 64)
+        assert list(zip(la.tolist(), lw.tolist())) == list(oracle.to_line_trace(accesses, 64))
 
     def test_scalar_broadcasts(self):
         la, lw = expand_lines(np.array([0, 64, 128]), 4, True, 64)
@@ -107,25 +112,11 @@ class TestExpandLines:
             expand_lines(np.zeros((2, 2), dtype=np.int64), 8, False)
         with pytest.raises(ValueError):
             expand_lines(np.array([0, 64]), 0, False)
+        with pytest.raises(ValueError, match=r"addrs\[1\] = -8"):
+            expand_lines(np.array([0, -8, -16]), 8, False)
 
 
 class TestChunking:
-    def test_chunk_accesses_matches_scalar_expansion(self):
-        rng = np.random.default_rng(5)
-        accesses = [
-            Access(int(a), size=int(s), write=bool(w))
-            for a, s, w in zip(
-                rng.integers(0, 100_000, size=500),
-                rng.choice([4, 8, 16, 100], size=500),
-                rng.random(500) < 0.3,
-            )
-        ]
-        expected = list(to_line_trace(accesses, 64))
-        got = []
-        for la, lw in chunk_accesses(iter(accesses), 64, chunk=64):
-            got.extend(zip(la.tolist(), lw.tolist()))
-        assert got == expected
-
     def test_chunk_arrays_slices_everything(self):
         addrs = np.arange(1000, dtype=np.int64)
         writes = np.zeros(1000, dtype=bool)
@@ -135,8 +126,6 @@ class TestChunking:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            list(chunk_accesses(iter([]), chunk=0))
-        with pytest.raises(ValueError):
             list(chunk_arrays(np.zeros(1, dtype=np.int64), np.zeros(1, bool), 0))
 
 
@@ -145,27 +134,27 @@ class TestGeneratorArrays:
 
     CASES = [
         (
-            lambda: sequential(64, 300, word=8, write=True),
+            lambda: oracle.sequential(64, 300, word=8, write=True),
             lambda: sequential_array(64, 300, word=8, write=True),
         ),
         (
-            lambda: strided(128, 200, 96),
+            lambda: oracle.strided(128, 200, 96),
             lambda: strided_array(128, 200, 96),
         ),
         (
-            lambda: repeated_sweep(0, 150, 4, write=True),
+            lambda: oracle.repeated_sweep(0, 150, 4, write=True),
             lambda: repeated_sweep_array(0, 150, 4, write=True),
         ),
         (
-            lambda: tiled_2d(0, 50, 70, 16, 24),
+            lambda: oracle.tiled_2d(0, 50, 70, 16, 24),
             lambda: tiled_2d_array(0, 50, 70, 16, 24),
         ),
         (
-            lambda: uniform_random(0, 5000, 800, seed=9),
+            lambda: oracle.uniform_random(0, 5000, 800, seed=9),
             lambda: uniform_random_array(0, 5000, 800, seed=9),
         ),
         (
-            lambda: pointer_chase(0, 4000, 600, seed=11),
+            lambda: oracle.pointer_chase(0, 4000, 600, seed=11),
             lambda: pointer_chase_array(0, 4000, 600, seed=11),
         ),
     ]
@@ -186,32 +175,32 @@ class TestRunArray:
         addrs = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
         for writes in (None, False, True, np.array([True, False] * 3)):
             h = for_broadwell(broadwell(), scale=SCALE)
-            stats = h.run_array(addrs, writes)
+            stats = h.run_batched([(addrs, writes)])
             assert stats["L1"].accesses == 6
 
     def test_rejects_bad_input(self):
         h = for_broadwell(broadwell(), scale=SCALE)
         with pytest.raises(ValueError, match="dtype float64"):
-            h.run_array(np.array([1.5, 2.5]))
+            h.run_batched([(np.array([1.5, 2.5]), None)])
         with pytest.raises(ValueError, match="1-D"):
-            h.run_array(np.zeros((2, 3), dtype=np.int64))
+            h.run_batched([(np.zeros((2, 3), dtype=np.int64), None)])
         with pytest.raises(ValueError, match="writes shape"):
-            h.run_array(np.array([1, 2, 3]), np.array([True]))
+            h.run_batched([(np.array([1, 2, 3]), np.array([True]))])
 
     def test_rejects_negative_addresses(self):
         h = for_broadwell(broadwell(), scale=SCALE)
         with pytest.raises(ValueError, match=r"addrs\[2\] = -7"):
-            h.run_array(np.array([1, 2, -7, 3], dtype=np.int64))
+            h.run_batched([(np.array([1, 2, -7, 3], dtype=np.int64), None)])
 
     def test_rejects_float_writes(self):
         h = for_broadwell(broadwell(), scale=SCALE)
         with pytest.raises(ValueError, match="writes must be bool"):
-            h.run_array(np.array([1, 2], dtype=np.int64), np.array([0.5, 1.0]))
+            h.run_batched([(np.array([1, 2], dtype=np.int64), np.array([0.5, 1.0]))])
 
     def test_integer_writes_accepted(self):
         h = for_broadwell(broadwell(), scale=SCALE)
-        stats = h.run_array(
-            np.array([1, 2, 3], dtype=np.int64), np.array([0, 1, 0])
+        stats = h.run_batched(
+            [(np.array([1, 2, 3], dtype=np.int64), np.array([0, 1, 0]))]
         )
         assert stats["L1"].accesses == 3
 
@@ -229,8 +218,8 @@ class TestRunArray:
         batched = for_broadwell(broadwell(), edram=edram, scale=SCALE, prefetch=prefetch)
         for a, w in zip(addrs.tolist(), writes.tolist()):
             scalar.access(a, write=w)
-        for chunk_a, chunk_w in chunk_arrays(addrs, writes, chunk=1900):
-            batched.run_array(chunk_a, chunk_w)
+        for chunk in chunk_arrays(addrs, writes, chunk=1900):
+            batched.run_batched([chunk])
         assert _stats_dict(batched.stats()) == _stats_dict(scalar.stats())
 
     @pytest.mark.parametrize("mode", list(McdramMode))
@@ -240,14 +229,15 @@ class TestRunArray:
         batched = for_knl(knl(mode), mode, scale=SCALE)
         for a, w in zip(addrs.tolist(), writes.tolist()):
             scalar.access(a, write=w)
-        batched.run_array(addrs, writes)
+        batched.run_batched([(addrs, writes)])
         assert _stats_dict(batched.stats()) == _stats_dict(scalar.stats())
 
     def test_run_batched_matches_run_array(self):
+        """One whole-trace chunk and many small chunks replay alike."""
         addrs, writes = _random_trace(23)
         one = for_broadwell(broadwell(), scale=SCALE)
         many = for_broadwell(broadwell(), scale=SCALE)
-        one.run_array(addrs, writes)
+        one.run_batched([(addrs, writes)])
         many.run_batched(chunk_arrays(addrs, writes, chunk=777))
         assert _stats_dict(many.stats()) == _stats_dict(one.stats())
 
@@ -258,7 +248,7 @@ class TestKernelTraceChunks:
     @pytest.mark.parametrize("name", list(kernel_zoo()))
     def test_chunks_equal_scalar_line_trace(self, name):
         kernel = kernel_zoo()[name]
-        expected = list(to_line_trace(kernel_trace(kernel, reps=2), 64))
+        expected = list(oracle.to_line_trace(oracle.kernel_trace(kernel, reps=2), 64))
         got = []
         for la, lw in kernel_trace_chunks(kernel, reps=2, line=64, chunk=4096):
             got.extend(zip(la.tolist(), lw.tolist()))
@@ -269,8 +259,8 @@ class TestKernelTraceChunks:
         kernel = kernel_zoo()[name]
         scalar_h = for_broadwell(broadwell(), scale=SCALE)
         batched_h = for_broadwell(broadwell(), scale=SCALE)
-        s = kernel.simulate(scalar_h, reps=2)
-        b = kernel.simulate_batched(batched_h, reps=2)
+        s = oracle.simulate(kernel, scalar_h, reps=2)
+        b = kernel.simulate(batched_h, reps=2)
         assert _stats_dict(b) == _stats_dict(s)
 
     @pytest.mark.parametrize("mode", list(McdramMode))
@@ -280,27 +270,27 @@ class TestKernelTraceChunks:
         kernel = kernel_zoo()[name]
         scalar_h = for_knl(knl(mode), mode, scale=SCALE)
         batched_h = for_knl(knl(mode), mode, scale=SCALE)
-        s = kernel.simulate(scalar_h, reps=1)
-        b = kernel.simulate_batched(batched_h, reps=1)
+        s = oracle.simulate(kernel, scalar_h, reps=1)
+        b = kernel.simulate(batched_h, reps=1)
         assert _stats_dict(b) == _stats_dict(s)
 
     @pytest.mark.parametrize("prefetch", ["next-line", "stride"])
     @pytest.mark.parametrize("name", list(kernel_zoo()))
     def test_simulate_batched_identical_with_prefetch(self, name, prefetch):
-        """Prefetch forces the batched path onto its scalar-equivalent
+        """Prefetch forces the ndarray replay onto its access()-equivalent
         fallback; the results must still be identical."""
         kernel = kernel_zoo()[name]
         scalar_h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
         batched_h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
-        s = kernel.simulate(scalar_h, reps=1)
-        b = kernel.simulate_batched(batched_h, reps=1)
+        s = oracle.simulate(kernel, scalar_h, reps=1)
+        b = kernel.simulate(batched_h, reps=1)
         assert _stats_dict(b) == _stats_dict(s)
 
     @pytest.mark.parametrize("name", list(kernel_zoo()))
     def test_reps_zero_yields_nothing(self, name):
         kernel = kernel_zoo()[name]
         assert list(kernel_trace_chunks(kernel, reps=0)) == []
-        assert list(kernel_trace(kernel, reps=0)) == []
+        assert list(oracle.kernel_trace(kernel, reps=0)) == []
 
 
 class TestFuzzDifferential:
@@ -342,7 +332,7 @@ class TestFuzzDifferential:
         batched = for_broadwell(broadwell(), scale=SCALE)
         for a in addrs.tolist():
             scalar.access(a, write=wr)
-        batched.run_array(addrs, wr)
+        batched.run_batched([(addrs, wr)])
         assert _stats_dict(batched.stats()) == _stats_dict(scalar.stats())
 
     def test_zero_length_only_stream(self):
@@ -369,7 +359,7 @@ class TestFuzzDifferential:
             pos += s
         pos = 0
         for s in sizes:
-            batched.run_array(addrs[pos : pos + s], writes[pos : pos + s])
+            batched.run_batched([(addrs[pos : pos + s], writes[pos : pos + s])])
             pos += s
         assert _stats_dict(batched.stats()) == _stats_dict(scalar.stats())
 
@@ -380,12 +370,8 @@ class TestStackDistanceNdarray:
         arr = rng.integers(0, 400, size=6000)
         assert (
             stack_distances(arr).distances.tolist()
-            == stack_distances(arr.tolist()).distances.tolist()
+            == oracle.stack_distances(arr.tolist()).distances.tolist()
         )
-
-    def test_hashable_keys_still_supported(self):
-        prof = stack_distances(["a", "b", "a", "c", "b"])
-        assert prof.distances.tolist() == [-1, -1, 1, -1, 2]
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
@@ -395,7 +381,7 @@ class TestStackDistanceNdarray:
         rng = np.random.default_rng(4)
         arr = rng.integers(0, 300, size=10_000)
         a = sampled_stack_distances(arr, window=512, period=3, seed=5)
-        b = sampled_stack_distances(arr.tolist(), window=512, period=3, seed=5)
+        b = oracle.sampled_stack_distances(arr.tolist(), window=512, period=3, seed=5)
         assert a.n_windows == b.n_windows
         assert a.censored_fraction == b.censored_fraction
         assert a.profile.distances.tolist() == b.profile.distances.tolist()

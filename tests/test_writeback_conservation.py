@@ -19,6 +19,7 @@ from repro.memory import for_broadwell, for_knl
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.hierarchy import Hierarchy, _CacheStage
 from repro.platforms import McdramMode, broadwell, knl
+from tests import oracle
 
 SCALE = 0.001
 
@@ -53,34 +54,33 @@ class TestBroadwellConservation:
     def test_random_write_heavy(self, edram, prefetch):
         addrs, writes = _write_heavy_trace(seed=101)
         h = for_broadwell(broadwell(), edram=edram, scale=SCALE, prefetch=prefetch)
-        h.run_array(addrs, writes)
+        h.run_batched([(addrs, writes)])
         _assert_books_close(h)
 
     @pytest.mark.parametrize("prefetch", [None, "next-line", "stride"])
     def test_scalar_path_agrees(self, prefetch):
         addrs, writes = _write_heavy_trace(seed=102, n=6_000)
         h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
-        for a, w in zip(addrs.tolist(), writes.tolist()):
-            h.access(a, write=w)
+        oracle.run(h, zip(addrs.tolist(), writes.tolist()))
         _assert_books_close(h)
 
     def test_reset_opens_a_clean_epoch(self):
         addrs, writes = _write_heavy_trace(seed=103)
         h = for_broadwell(broadwell(), scale=SCALE, prefetch="stride")
-        h.run_array(addrs, writes)
+        h.run_batched([(addrs, writes)])
         h.reset()
         # Fresh epoch: ledger deltas restart at zero even though the
         # underlying cache counters are monotone.
         assert all(
             v == 0 for flows in h.dirty_ledger().values() for v in flows.values()
         )
-        h.run_array(addrs, writes)
+        h.run_batched([(addrs, writes)])
         _assert_books_close(h)
 
     def test_per_cache_law_recomputed(self):
         addrs, writes = _write_heavy_trace(seed=104)
         h = for_broadwell(broadwell(), scale=SCALE)
-        h.run_array(addrs, writes)
+        h.run_batched([(addrs, writes)])
         ledger = h.dirty_ledger()
         for flows in ledger.values():
             assert flows["created"] + flows["received"] == (
@@ -111,15 +111,14 @@ class TestKnlConservation:
     def test_random_write_heavy(self, mode):
         addrs, writes = _write_heavy_trace(seed=105)
         h = for_knl(knl(mode), mode, scale=SCALE)
-        h.run_array(addrs, writes)
+        h.run_batched([(addrs, writes)])
         self._check(h)
 
     @pytest.mark.parametrize("mode", list(McdramMode))
     def test_scalar_path_agrees(self, mode):
         addrs, writes = _write_heavy_trace(seed=106, n=6_000)
         h = for_knl(knl(mode), mode, scale=SCALE)
-        for a, w in zip(addrs.tolist(), writes.tolist()):
-            h.access(a, write=w)
+        oracle.run(h, zip(addrs.tolist(), writes.tolist()))
         self._check(h)
 
 
