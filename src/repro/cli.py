@@ -376,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     energyp.add_argument(
         "--kernel",
         default="all",
+        # Literal rather than ("all", *DEMO_KERNELS): the parser must not
+        # import repro.power (cold start); a CLI test pins the two equal.
         choices=(
             "all", "stream", "gemm", "cholesky", "spmv",
             "sptrans", "sptrsv", "stencil", "fft",
@@ -699,18 +701,15 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
     from repro.experiments.results import DataTable
     from repro.power.ledger import (
+        DEMO_KERNELS,
         ENERGY_CONFIGS,
         demo_kernel,
         pareto_front,
+        platform_pareto,
         price_config,
     )
 
-    kernel_names = (
-        ["stream", "gemm", "cholesky", "spmv", "sptrans", "sptrsv",
-         "stencil", "fft"]
-        if args.kernel == "all"
-        else [args.kernel]
-    )
+    kernel_names = DEMO_KERNELS if args.kernel == "all" else [args.kernel]
     configs = [
         (platform, mode)
         for platform, mode in ENERGY_CONFIGS
@@ -727,11 +726,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             for platform, mode in configs
         ]
         flags = pareto_front(runs)
-        platform_flags: list[bool] = [False] * len(runs)
-        for platform in ("broadwell", "knl"):
-            sub = [(i, r) for i, r in enumerate(runs) if r.platform == platform]
-            for (i, _), flag in zip(sub, pareto_front([r for _, r in sub])):
-                platform_flags[i] = flag
+        platform_flags = platform_pareto(runs)
         for run_ in runs:
             violations.extend(
                 f"{name} {run_.platform}/{run_.mode}: {v}"

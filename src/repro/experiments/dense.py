@@ -7,13 +7,7 @@ from typing import Callable
 import numpy as np
 
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import (
-    MODE_LABELS,
-    dense_orders,
-    dense_tiles,
-    run_broadwell_sweep,
-    run_knl_sweep,
-)
+from repro.experiments.sweeps import dense_orders, dense_tiles, run_sweep
 from repro.kernels.base import Kernel
 from repro.viz import heatmap
 
@@ -33,12 +27,7 @@ def heatmap_experiment(
     configs = [
         kernel_factory(order, tile) for tile in tiles for order in orders
     ]
-    if platform == "broadwell":
-        points = run_broadwell_sweep(configs)
-        mode_labels = ["w/o eDRAM", "w/ eDRAM"]
-    else:
-        points = run_knl_sweep(configs)
-        mode_labels = list(MODE_LABELS.values())
+    points, mode_labels = run_sweep(platform, configs)
     n_t, n_o = len(tiles), len(orders)
     rows = []
     grids = {label: np.zeros((n_t, n_o)) for label in mode_labels}

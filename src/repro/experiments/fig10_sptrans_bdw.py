@@ -21,5 +21,4 @@ def run(quick: bool = True) -> ExperimentResult:
         _factory,
         "broadwell",
         quick=quick,
-        structure_heatmap=True,
     )

@@ -21,5 +21,4 @@ def run(quick: bool = True) -> ExperimentResult:
         _factory,
         "knl",
         quick=quick,
-        structure_heatmap=False,
     )

@@ -1,26 +1,12 @@
-"""Figure 20: structure impact of SpMV on KNL.
-
-Speedup of the MCDRAM modes over DDR, binned by (rows, nonzeros). The
-paper draws one heatmap for all three modes since their structural
-impact coincides (Section 4.2.2); we follow suit using flat mode.
-"""
+"""Figure 20: structure impact of SpMV on KNL (speedup by rows x nnz)."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.engine.calibration import DEFAULT_KNOBS
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sparse_exp import (
-    SPARSE_NOISE_SIGMA,
-    structure_grid,
-    structure_rows,
-)
-from repro.experiments.sweeps import collection_for, run_knl_sweep
+from repro.experiments.sparse_exp import structure_experiment
 from repro.kernels import SpmvKernel
 from repro.sparse import MatrixDescriptor
-from repro.viz import heatmap
 
 
 def _factory(d: MatrixDescriptor) -> SpmvKernel:
@@ -29,37 +15,10 @@ def _factory(d: MatrixDescriptor) -> SpmvKernel:
 
 @register("fig20", "Structure impact of SpMV on KNL", "Figure 20")
 def run(quick: bool = True) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig20",
-        title="Structure impact of SpMV on KNL (rows x nnz)",
+    return structure_experiment(
+        "fig20",
+        "SpMV",
+        _factory,
+        quick=quick,
+        finding="small row counts cache their vectors efficiently.",
     )
-    collection = collection_for(quick=quick)
-    knobs = DEFAULT_KNOBS.replace(noise_sigma=SPARSE_NOISE_SIGMA)
-    points = run_knl_sweep([_factory(d) for d in collection], knobs=knobs)
-    rows = np.array([d.n_rows for d in collection])
-    nnz = np.array([d.nnz for d in collection])
-    flat = np.array([p.gflops("Flat") for p in points])
-    ddr = np.array([p.gflops("DDR") for p in points])
-    speedup = flat / np.maximum(ddr, 1e-12)
-    grid, row_edges, nnz_edges = structure_grid(rows, nnz, speedup)
-    result.figures.append(
-        heatmap(
-            grid[::-1],
-            row_labels=[f"2^{int(e)}" for e in row_edges[:-1][::-1]],
-            col_labels=[f"2^{int(e)}" for e in nnz_edges[:-1]],
-            title="SpMV on KNL: flat-mode speedup by (rows, nnz)",
-        )
-    )
-    result.add_table(
-        "structure",
-        ("log2_rows_bin", "log2_nnz_bin", "mean_speedup", "count"),
-        structure_rows(rows, nnz, speedup),
-    )
-    best = structure_rows(rows, nnz, speedup)
-    if best:
-        top = max(best, key=lambda r: r[2])
-        result.notes.append(
-            f"Hottest bin: rows ~2^{top[0]:.0f}, nnz ~2^{top[1]:.0f} "
-            f"(mean speedup {top[2]:.2f}x) — small row counts cache their vectors efficiently."
-        )
-    return result

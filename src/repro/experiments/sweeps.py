@@ -8,7 +8,7 @@ once, with reduced "quick" variants used by tests and benchmarks.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -95,6 +95,28 @@ class SweepPoint:
         return self.results[mode].gflops
 
 
+def _sweep(
+    configs: Iterable[Kernel],
+    machine: MachineSpec,
+    modes: dict[str, dict[str, Any]],
+    knobs: ModelKnobs,
+) -> list[SweepPoint]:
+    """Estimate each kernel under every ``label -> estimate() kwargs`` mode."""
+    points = []
+    for kernel in configs:
+        with telemetry.span(
+            tm.SPAN_SWEEP_KERNEL, kernel=kernel.name, machine=machine.name
+        ):
+            profile = kernel.profile()
+            results = {
+                label: estimate(profile, machine, knobs=knobs, **kwargs)
+                for label, kwargs in modes.items()
+            }
+            points.append(SweepPoint(params=dict(profile.params), results=results))
+        telemetry.counter(tm.METRIC_SWEEP_POINTS).inc()
+    return points
+
+
 def run_broadwell_sweep(
     configs: Iterable[Kernel],
     *,
@@ -102,24 +124,8 @@ def run_broadwell_sweep(
     machine: MachineSpec | None = None,
 ) -> list[SweepPoint]:
     """Evaluate kernels on Broadwell with eDRAM on and off."""
-    m = machine if machine is not None else broadwell()
-    points = []
-    for kernel in configs:
-        with telemetry.span(
-            tm.SPAN_SWEEP_KERNEL, kernel=kernel.name, machine=m.name
-        ):
-            profile = kernel.profile()
-            points.append(
-                SweepPoint(
-                    params=dict(profile.params),
-                    results={
-                        "w/ eDRAM": estimate(profile, m, edram=True, knobs=knobs),
-                        "w/o eDRAM": estimate(profile, m, edram=False, knobs=knobs),
-                    },
-                )
-            )
-        telemetry.counter(tm.METRIC_SWEEP_POINTS).inc()
-    return points
+    modes = {"w/ eDRAM": {"edram": True}, "w/o eDRAM": {"edram": False}}
+    return _sweep(configs, machine or broadwell(), modes, knobs)
 
 
 MODE_LABELS = {
@@ -138,26 +144,20 @@ def run_knl_sweep(
     machine: MachineSpec | None = None,
 ) -> list[SweepPoint]:
     """Evaluate kernels on KNL across MCDRAM modes."""
-    m = machine if machine is not None else knl()
-    points = []
-    for kernel in configs:
-        with telemetry.span(
-            tm.SPAN_SWEEP_KERNEL, kernel=kernel.name, machine=m.name
-        ):
-            profile = kernel.profile()
-            points.append(
-                SweepPoint(
-                    params=dict(profile.params),
-                    results={
-                        MODE_LABELS[mode]: estimate(
-                            profile, m, mcdram=mode, knobs=knobs
-                        )
-                        for mode in modes
-                    },
-                )
-            )
-        telemetry.counter(tm.METRIC_SWEEP_POINTS).inc()
-    return points
+    by_label = {MODE_LABELS[mode]: {"mcdram": mode} for mode in modes}
+    return _sweep(configs, machine or knl(), by_label, knobs)
+
+
+def run_sweep(
+    platform: str,
+    configs: Iterable[Kernel],
+    *,
+    knobs: ModelKnobs = DEFAULT_KNOBS,
+) -> tuple[list[SweepPoint], list[str]]:
+    """Sweep every OPM mode of ``platform``; labels come baseline first."""
+    if platform == "broadwell":
+        return run_broadwell_sweep(configs, knobs=knobs), ["w/o eDRAM", "w/ eDRAM"]
+    return run_knl_sweep(configs, knobs=knobs), list(MODE_LABELS.values())
 
 
 # -- summary statistics (Tables 4/5 columns) -----------------------------------

@@ -9,6 +9,7 @@ from repro.power.energy import (
     energy_ratio,
 )
 from repro.power.ledger import (
+    DEMO_KERNELS,
     ENERGY_CONFIGS,
     EnergyLedger,
     LevelEnergy,
@@ -17,12 +18,14 @@ from repro.power.ledger import (
     demo_kernel,
     ledger_from_hierarchy,
     pareto_front,
+    platform_pareto,
     price_config,
     price_run,
 )
 from repro.power.rapl import PowerSample, measure
 
 __all__ = [
+    "DEMO_KERNELS",
     "ENERGY_CONFIGS",
     "EnergyComparison",
     "EnergyLedger",
@@ -38,6 +41,7 @@ __all__ = [
     "ledger_from_hierarchy",
     "measure",
     "pareto_front",
+    "platform_pareto",
     "price_config",
     "price_run",
 ]

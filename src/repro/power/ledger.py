@@ -407,6 +407,11 @@ ENERGY_CONFIGS: tuple[tuple[str, str], ...] = (
     ("knl", "hybrid"),
 )
 
+#: The eight paper kernels :func:`demo_kernel` builds, in report order.
+DEMO_KERNELS = (
+    "stream", "gemm", "cholesky", "spmv", "sptrans", "sptrsv", "stencil", "fft",
+)
+
 
 def build_config(
     platform: str,
@@ -559,4 +564,17 @@ def pareto_front(runs: list[PricedRun]) -> list[bool]:
             for q in runs
         )
         flags.append(not dominated)
+    return flags
+
+
+def platform_pareto(runs: list[PricedRun]) -> list[bool]:
+    """:func:`pareto_front` flags taken among each platform's own runs.
+
+    Platforms may interleave in ``runs``; flags come back in input order.
+    """
+    flags = [False] * len(runs)
+    for platform in dict.fromkeys(r.platform for r in runs):
+        idx = [i for i, r in enumerate(runs) if r.platform == platform]
+        for i, flag in zip(idx, pareto_front([runs[i] for i in idx])):
+            flags[i] = flag
     return flags

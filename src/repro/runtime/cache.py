@@ -9,6 +9,12 @@ execute, so a lookup either misses or returns exactly what a fresh run
 would print. The default location is ``~/.cache/opm-repro``, overridable
 via ``--cache-dir`` or the ``OPM_REPRO_CACHE_DIR`` environment variable.
 
+Every object has one layout, ``{"schema", "key", "kind", <meta>...,
+"payload"}``, read by :meth:`ResultCache.get_payload` and written by
+:meth:`ResultCache.put_payload` alone. An experiment's payload is exactly
+``ExperimentResult.as_dict()``, so a ``run`` batch and the serve
+service's ``/v1/experiment`` share each other's entries.
+
 Alongside the objects the cache keeps ``stats.json`` with lifetime and
 last-run hit/miss counts; ``opm-repro cache stats`` renders it and CI
 asserts on it. Writes are atomic (tempfile + ``os.replace``), so
@@ -103,15 +109,11 @@ class ResultCache:
 
     def get(self, key: str) -> ExperimentResult | None:
         """The cached result for ``key``, or None on miss/corruption."""
-        path = self._object_path(key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if payload.get("schema") != SCHEMA_VERSION:
+        payload = self.get_payload(key)
+        if payload is None:
             return None
         try:
-            return ExperimentResult.from_dict(payload["result"])
+            return ExperimentResult.from_dict(payload)
         except (KeyError, TypeError, ValueError):
             return None
 
@@ -124,23 +126,17 @@ class ResultCache:
         wall_time_s: float | None = None,
     ) -> Path:
         """Store ``result`` under ``key`` atomically; returns the path."""
-        payload: dict[str, Any] = {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "experiment_id": result.experiment_id,
-            "quick": quick,
-            "created_unix_s": time.time(),
-            "wall_time_s": wall_time_s,
-            "result": result.as_dict(),
-        }
-        path = self._object_path(key)
-        _atomic_write_json(path, payload)
-        return path
-
-    # -- generic JSON payloads (serve answers) -------------------------------
+        return self.put_payload(
+            key,
+            result.as_dict(),
+            kind="experiment",
+            experiment_id=result.experiment_id,
+            quick=quick,
+            wall_time_s=wall_time_s,
+        )
 
     def get_payload(self, key: str) -> dict[str, Any] | None:
-        """A generic JSON payload stored under ``key``, or None."""
+        """The JSON payload stored under ``key``, or None."""
         path = self._object_path(key)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -152,10 +148,20 @@ class ResultCache:
         return payload if isinstance(payload, dict) else None
 
     def put_payload(
-        self, key: str, payload: dict[str, Any], *, kind: str = "payload"
+        self,
+        key: str,
+        payload: dict[str, Any],
+        *,
+        kind: str = "payload",
+        **meta: Any,
     ) -> Path:
-        """Store an arbitrary JSON document under ``key`` atomically."""
+        """Store a JSON document under ``key`` atomically.
+
+        ``meta`` keywords (``quick``, ``wall_time_s``, ...) describe the
+        entry beside the payload; readers only ever see ``payload``.
+        """
         doc: dict[str, Any] = {
+            **meta,
             "schema": SCHEMA_VERSION,
             "key": key,
             "kind": kind,
@@ -322,10 +328,10 @@ class SharedResultCache(ResultCache):
 
     Two hardenings over the base store:
 
-    * **lock-file-guarded writes** — every ``put``/``put_payload`` takes
-      the cache-wide lock file, so N serve workers and a concurrent
-      ``run all`` batch can share one directory without interleaving
-      (stats updates already lock in the base class);
+    * **lock-file-guarded writes** — every ``put_payload`` (and so every
+      ``put``) takes the cache-wide lock file, so N serve workers and a
+      concurrent ``run all`` batch can share one directory without
+      interleaving (stats updates already lock in the base class);
     * **LRU hot tier** — the last ``hot_capacity`` objects read or
       written stay in process memory, so repeat hits never touch disk.
 
@@ -357,43 +363,6 @@ class SharedResultCache(ResultCache):
             else:
                 self.misses += 1
 
-    # -- experiment results --------------------------------------------------
-
-    def get(self, key: str) -> ExperimentResult | None:
-        hot = self._hot.get(key)
-        if hot is not None:
-            try:
-                result = ExperimentResult.from_dict(hot)
-            except (KeyError, TypeError, ValueError):  # poisoned entry
-                result = None
-            if result is not None:
-                self._count("hot")
-                return result
-        result = super().get(key)
-        if result is None:
-            self._count("miss")
-            return None
-        self._hot.put(key, result.as_dict())
-        self._count("disk")
-        return result
-
-    def put(
-        self,
-        key: str,
-        result: ExperimentResult,
-        *,
-        quick: bool,
-        wall_time_s: float | None = None,
-    ) -> Path:
-        with file_lock(self._write_lock_path):
-            path = super().put(
-                key, result, quick=quick, wall_time_s=wall_time_s
-            )
-        self._hot.put(key, result.as_dict())
-        return path
-
-    # -- generic payloads ----------------------------------------------------
-
     def get_payload(self, key: str) -> dict[str, Any] | None:
         hot = self._hot.get(key)
         if isinstance(hot, dict):
@@ -408,10 +377,15 @@ class SharedResultCache(ResultCache):
         return payload
 
     def put_payload(
-        self, key: str, payload: dict[str, Any], *, kind: str = "payload"
+        self,
+        key: str,
+        payload: dict[str, Any],
+        *,
+        kind: str = "payload",
+        **meta: Any,
     ) -> Path:
         with file_lock(self._write_lock_path):
-            path = super().put_payload(key, payload, kind=kind)
+            path = super().put_payload(key, payload, kind=kind, **meta)
         self._hot.put(key, payload)
         return path
 

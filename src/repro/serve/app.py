@@ -64,13 +64,8 @@ class ServeConfig:
     timeout_s: float | None = 30.0
     #: Extra attempts after a crashed execution.
     retries: int = 1
-    #: Micro-batch limits for the coalescing batcher.
-    max_batch: int = 16
+    #: Micro-batch window of the coalescing batcher.
     window_s: float = 0.002
-    #: LRU hot-tier capacity (entries) in front of the disk cache.
-    hot_capacity: int = 256
-    #: Experiments run in quick mode by default (full on request).
-    quick: bool = True
 
 
 class ServeApp:
@@ -81,9 +76,7 @@ class ServeApp:
         self.cache: SharedResultCache | None = (
             None
             if self.config.no_cache
-            else SharedResultCache(
-                self.config.cache_dir, hot_capacity=self.config.hot_capacity
-            )
+            else SharedResultCache(self.config.cache_dir)
         )
         self.pool = ServePool(
             self.config.jobs,
@@ -91,9 +84,7 @@ class ServeApp:
             retries=self.config.retries,
         )
         self.batcher = Batcher(
-            self._execute_batch,
-            max_batch=self.config.max_batch,
-            window_s=self.config.window_s,
+            self._execute_batch, window_s=self.config.window_s
         )
         self.trace_id = collect.new_trace_id()
         self.started_unix_s = time.time()
@@ -242,7 +233,8 @@ class ServeApp:
                 400, f"unknown fields: {', '.join(sorted(unknown))}"
             )
         exp_id = body.get("experiment")
-        quick = body.get("quick", self.config.quick)
+        # Experiments run in quick mode unless the body asks for full.
+        quick = body.get("quick", True)
         if not isinstance(quick, bool):
             return 400, error_payload(400, "quick must be a boolean")
         from repro.experiments import registry

@@ -1,5 +1,7 @@
 """CLI entry point."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -60,6 +62,19 @@ class TestCli:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_energy_kernel_choices_are_demo_kernels(self):
+        from repro.power.ledger import DEMO_KERNELS
+
+        (sub,) = [
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        (kernel,) = [
+            a for a in sub.choices["energy"]._actions if a.dest == "kernel"
+        ]
+        assert kernel.choices == ("all", *DEMO_KERNELS)
 
 
 def _read_jsonl(path):

@@ -12,23 +12,14 @@ import pytest
 from repro.memory.hierarchy import for_broadwell
 from repro.platforms import broadwell, knl
 from repro.power.ledger import (
+    DEMO_KERNELS,
     ENERGY_CONFIGS,
     build_config,
     demo_kernel,
     ledger_from_hierarchy,
     pareto_front,
+    platform_pareto,
     price_config,
-)
-
-KERNELS = (
-    "stream",
-    "gemm",
-    "cholesky",
-    "spmv",
-    "sptrans",
-    "sptrsv",
-    "stencil",
-    "fft",
 )
 
 #: Acceptance sweep: Broadwell eDRAM on/off and every KNL MCDRAM mode
@@ -41,7 +32,7 @@ def priced():
     """Price every kernel on every configuration once."""
     return {
         (name, platform, mode): price_config(demo_kernel(name), platform, mode)
-        for name in KERNELS
+        for name in DEMO_KERNELS
         for platform, mode in ALL_CONFIGS
     }
 
@@ -151,28 +142,53 @@ class TestErrors:
 
 
 class _Point:
-    def __init__(self, seconds, energy_j):
+    def __init__(self, seconds, energy_j, platform="knl"):
         self.seconds = seconds
         self.energy_j = energy_j
+        self.platform = platform
+
+
+#: On one platform the per-platform front is the global front, so every
+#: single-platform case below holds for both.
+FRONTS = (pareto_front, platform_pareto)
 
 
 class TestParetoFront:
     def test_single_point_is_optimal(self):
-        assert pareto_front([_Point(1.0, 1.0)]) == [True]
+        for front in FRONTS:
+            assert front([_Point(1.0, 1.0)]) == [True]
 
     def test_dominated_point_flagged(self):
-        flags = pareto_front([_Point(1.0, 1.0), _Point(2.0, 2.0)])
-        assert flags == [True, False]
+        for front in FRONTS:
+            flags = front([_Point(1.0, 1.0), _Point(2.0, 2.0)])
+            assert flags == [True, False]
 
     def test_trade_off_keeps_both(self):
-        flags = pareto_front([_Point(1.0, 2.0), _Point(2.0, 1.0)])
-        assert flags == [True, True]
+        for front in FRONTS:
+            flags = front([_Point(1.0, 2.0), _Point(2.0, 1.0)])
+            assert flags == [True, True]
 
     def test_duplicate_points_both_survive(self):
-        flags = pareto_front([_Point(1.0, 1.0), _Point(1.0, 1.0)])
-        assert flags == [True, True]
+        for front in FRONTS:
+            flags = front([_Point(1.0, 1.0), _Point(1.0, 1.0)])
+            assert flags == [True, True]
 
     def test_weak_domination_is_not_domination(self):
         # Equal seconds, strictly worse energy -> dominated.
-        flags = pareto_front([_Point(1.0, 1.0), _Point(1.0, 2.0)])
-        assert flags == [True, False]
+        for front in FRONTS:
+            flags = front([_Point(1.0, 1.0), _Point(1.0, 2.0)])
+            assert flags == [True, False]
+
+    def test_platform_front_ignores_other_platforms(self):
+        # Interleaved platforms: the Broadwell points are dominated
+        # globally but each is judged only against its own machine.
+        runs = [
+            _Point(2.0, 2.0, "broadwell"),
+            _Point(1.0, 1.0, "knl"),
+            _Point(3.0, 3.0, "broadwell"),
+            _Point(1.5, 0.5, "knl"),
+            _Point(2.5, 1.5, "broadwell"),
+            _Point(2.0, 2.0, "knl"),
+        ]
+        assert pareto_front(runs) == [False, True, False, True, False, False]
+        assert platform_pareto(runs) == [True, True, False, True, True, False]

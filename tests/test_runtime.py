@@ -128,6 +128,24 @@ class TestResultCache:
         assert cached is not None
         assert cached.render() == self._result().render()
 
+    def test_put_writes_the_one_payload_layout(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ef" + "0" * 62
+        path = cache.put(key, self._result(), quick=True, wall_time_s=0.5)
+        doc = json.loads(path.read_text())
+        assert (doc["schema"], doc["kind"], doc["quick"]) == (1, "experiment", True)
+        assert doc["wall_time_s"] == 0.5
+        assert cache.get_payload(key) == self._result().as_dict()
+
+    def test_legacy_result_layout_reads_as_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "0b" + "0" * 62
+        path = cache.put(key, self._result(), quick=True)
+        doc = json.loads(path.read_text())
+        doc["result"] = doc.pop("payload")
+        path.write_text(json.dumps(doc))
+        assert cache.get(key) is None
+
     def test_miss_returns_none(self, tmp_path):
         assert ResultCache(tmp_path).get("ff" + "0" * 62) is None
 

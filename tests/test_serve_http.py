@@ -9,6 +9,8 @@ import pytest
 from repro import telemetry
 from repro.experiments import run as run_experiment
 from repro.runtime import faults
+from repro.runtime.cache import ResultCache
+from repro.runtime.scheduler import run_batch
 from repro.serve import advisor
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.batcher import Batcher
@@ -235,6 +237,39 @@ class TestRoutes:
         first, second = run(go())
         assert first["meta"]["cache"] == "miss"
         assert second["meta"]["cache"] == "miss"
+
+
+class TestBatchServeShareCache:
+    """``run`` batches and ``/v1/experiment`` read each other's entries."""
+
+    @staticmethod
+    async def _serve_eq1(tmp_path):
+        async with _Server(tmp_path) as s:
+            status, payload = await s.client.request(
+                "POST", "/v1/experiment", {"experiment": "eq1"}
+            )
+            assert status == 200
+            return payload
+
+    def test_batch_written_entry_served_from_disk(self, tmp_path):
+        batch = run_batch(["eq1"], cache=ResultCache(tmp_path / "cache"))
+        assert batch.cache_misses == 1
+        served = run(self._serve_eq1(tmp_path))
+        assert served["meta"]["cache"] == "disk"
+        stripped = {k: v for k, v in served.items() if k != "meta"}
+        offline = run_experiment("eq1", quick=True).as_dict()
+        assert json.dumps(stripped, sort_keys=True) == json.dumps(
+            offline, sort_keys=True
+        )
+
+    def test_serve_written_entry_is_batch_hit(self, tmp_path):
+        served = run(self._serve_eq1(tmp_path))
+        assert served["meta"]["cache"] == "miss"
+        batch = run_batch(["eq1"], cache=ResultCache(tmp_path / "cache"))
+        assert (batch.cache_hits, batch.cache_misses) == (1, 0)
+        assert batch.outcomes[0].result.render() == run_experiment(
+            "eq1", quick=True
+        ).render()
 
 
 class TestCoalescing:
